@@ -89,8 +89,12 @@ def _emit(text: str, output: str | None) -> None:
 
 def _atomic_write(target: Path, text: str) -> None:
     tmp = target.with_name(f".{target.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, target)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,8 @@ def parse_gamelog(text: str) -> GameLog:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from None
     doc = _as_obj(doc, "$")
     _reject_unknown(doc, {"schema_version", "sport", "teams", "metadata", "events"}, "$")
 

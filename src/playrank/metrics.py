@@ -252,12 +252,14 @@ def compare_games(reports: Mapping[str, IpmReport]) -> CrossGameTable:
                 seen.add(p.player)
                 player_order.append(p.player)
 
+    # reversed, so the first occurrence of a repeated id wins
+    ipm_by_game = {
+        gid: {p.player: p.ipm for p in reversed(report.players)}
+        for gid, report in reports.items()
+    }
     rows = []
     for pid in player_order:
-        ipms: dict[str, float | None] = {}
-        for gid, report in reports.items():
-            hit = next((p for p in report.players if p.player == pid), None)
-            ipms[gid] = hit.ipm if hit is not None else None
+        ipms = {gid: by_id.get(pid) for gid, by_id in ipm_by_game.items()}
         present = [v for v in ipms.values() if v is not None]
         rows.append(CrossGameRow(pid, ipms, sum(present) / len(present)))
     rows.sort(key=lambda r: (-r.mean, r.player))

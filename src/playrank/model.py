@@ -99,7 +99,7 @@ class UncontestedMissRebounded:
 
 @dataclass(frozen=True)
 class FoulWithFreeThrows:
-    """Basketball: foul where the fouled player makes ``made`` >= 1 free throws."""
+    """Basketball: foul where the fouled player makes ``made`` free throws (1..3)."""
 
     fouler: str
     fouled: str
@@ -362,6 +362,8 @@ def validate_game(log: GameLog) -> list[Violation]:
             seen.add(p.id)
     if log.n_players < 2:
         out.append(Violation(None, "a game needs at least 2 players"))
+    if log.teams[0].name == log.teams[1].name:
+        out.append(Violation(None, f"both teams are named '{log.teams[0].name}'"))
 
     team_of = _team_of(log)
     legal = SPORT_EVENTS[log.sport]
@@ -400,7 +402,8 @@ def validate_game(log: GameLog) -> list[Violation]:
                 out.append(Violation(i, f"basketball score points must be 1..4, got {ev.points}"))
         elif cls is Score and ev.points != 1:
             out.append(Violation(i, f"{log.sport.value} scores are always worth 1, got points={ev.points}"))
-        if cls is FoulWithFreeThrows and ev.made < 1:
-            out.append(Violation(i, f"foul_with_free_throws needs made >= 1, got {ev.made}"))
+        if cls is FoulWithFreeThrows and not 1 <= ev.made <= 3:
+            # a foul awards at most three free throws
+            out.append(Violation(i, f"foul_with_free_throws needs made >= 1 and <= 3, got {ev.made}"))
 
     return out

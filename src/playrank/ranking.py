@@ -172,11 +172,16 @@ def wielandt_bound(size: int) -> int:
 def check_primitive(t: TransitionMatrix) -> PrimitivityCheck:
     """Test whether some power of T is entrywise positive.
 
-    Walks the boolean adjacency pattern through successive powers up to the
-    Wielandt bound and reports the smallest all-positive exponent.  Any
-    properly initialized game graph comes back (True, 2).
+    Reports the smallest all-positive exponent.  A hub -- a node whose row
+    and column are both all-positive, as the goal node is in every game
+    graph -- certifies it in O(k^2): every i -> hub -> j walk has length 2,
+    so the witness is 1 when T itself is positive and 2 otherwise.  Without
+    a hub, walks the boolean pattern through successive powers up to the
+    Wielandt bound.
     """
     pattern = t.counts > 0
+    if (pattern.all(axis=0) & pattern.all(axis=1)).any():
+        return PrimitivityCheck(True, 1 if pattern.all() else 2)
     power = pattern.copy()
     for m in range(1, wielandt_bound(t.size) + 1):
         if power.all():

@@ -94,6 +94,57 @@ def test_rank_explicit_input_format_mismatch(capsys, demo_json_path):
     assert code == 2
 
 
+def _basketball_doc(events, names=("X", "Y")):
+    return json.dumps({
+        "schema_version": "1",
+        "sport": "basketball",
+        "teams": [
+            {"name": names[0], "players": [{"id": "x1"}, {"id": "x2"}]},
+            {"name": names[1], "players": [{"id": "y1"}]},
+        ],
+        "events": events,
+    })
+
+
+@pytest.mark.parametrize("text, reason", [
+    (_basketball_doc([{"type": "foul_with_free_throws", "fouler": "y1",
+                       "fouled": "x1", "made": 10**20}]),
+     f"event 0: foul_with_free_throws needs made >= 1 and <= 3, got {10**20}"),
+    (_basketball_doc(20 * [{"type": "foul_with_free_throws", "fouler": "y1",
+                            "fouled": "x1", "made": 10**18}]),
+     f"event 19: foul_with_free_throws needs made >= 1 and <= 3, got {10**18}"),
+    (_basketball_doc([], names=("X", "X")), "roster: both teams are named 'X'"),
+], ids=["made_overflows_int64", "made_sum_wraps_int64", "duplicate_team_names"])
+def test_rank_rejects_unrankable_logs_exits_1(capsys, tmp_path, text, reason):
+    path = tmp_path / "game.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "rank", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == reason
+
+
+@pytest.mark.parametrize("text, input_format", [
+    ("[" * 200_000, "json"),
+    ('{"events": ' + "[" * 200_000, "auto"),
+], ids=["json", "auto"])
+def test_rank_deeply_nested_json_exits_2(capsys, tmp_path, text, input_format):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "rank", str(path), "--input-format", input_format)
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err
+
+
+def test_rank_output_onto_directory_leaves_no_temp_file(capsys, tmp_path,
+                                                        demo_playscript_path):
+    target = tmp_path / "report.txt"
+    target.mkdir()
+    code, out, err = run(capsys, "rank", str(demo_playscript_path), "-o", str(target))
+    assert code == 2 and out == "" and err
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    assert target.is_dir() and not any(target.iterdir())
+
+
 # --- matrix / validate --------------------------------------------------------
 
 def test_matrix_adjacency(capsys, demo_playscript_path):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from playrank.metrics import (
-    DegenerateGoalRankError, aggregates, check_proposition_bounds,
-    compare_games, compute_ipm,
+    CrossGameRow, CrossGameTable, DegenerateGoalRankError, IpmReport,
+    PlayerIpm, aggregates, check_proposition_bounds, compare_games,
+    compute_ipm,
 )
 from playrank.model import GameLog, GameMetadata, Roster, RosterPlayer, Score, Sport
 from playrank.pipeline import analyze_game, build_digraph
@@ -244,3 +245,49 @@ def test_compare_disjoint_rosters_unions_rows():
 def test_compare_requires_a_report():
     with pytest.raises(ValueError):
         compare_games({})
+
+
+def _reference_compare(reports):
+    """The O(P^2 G) scan compare_games replaced: one pass over a report's
+    players per (player, game) cell, first occurrence wins."""
+    player_order = []
+    for report in reports.values():
+        for p in report.standings:
+            if p.player not in player_order:
+                player_order.append(p.player)
+    rows = []
+    for pid in player_order:
+        ipms = {}
+        for gid, report in reports.items():
+            hit = next((p for p in report.players if p.player == pid), None)
+            ipms[gid] = hit.ipm if hit is not None else None
+        present = [v for v in ipms.values() if v is not None]
+        rows.append(CrossGameRow(pid, ipms, sum(present) / len(present)))
+    rows.sort(key=lambda r: (-r.mean, r.player))
+    return CrossGameTable(game_ids=tuple(reports), rows=tuple(rows))
+
+
+def _fake_report(rng, pool):
+    """A report over a random subset of ``pool`` with IPMs on a coarse grid,
+    so many players tie on their cross-game mean."""
+    ids = rng.sample(pool, rng.randint(100, len(pool)))
+    players = [PlayerIpm(pid, pid, "T", False, 0.0, rng.choice((40.0, 50.0, 60.5)))
+               for pid in ids]
+    players.append(PlayerIpm(ids[0], ids[0], "T", False, 0.0, 99.0))  # repeated id
+    order = sorted(range(len(players)), key=lambda i: (-players[i].ipm, i))
+    return IpmReport(n=len(players), goal_rank=0.5, residual=0.0, method="direct",
+                     players=tuple(players),
+                     standings=tuple(players[i] for i in order))
+
+
+def test_compare_matches_reference_scan_on_wide_rosters():
+    rng = random.Random(3)
+    pool = [f"p{i:03d}" for i in range(150)]
+    reports = {f"g{g:02d}": _fake_report(rng, pool) for g in range(24)}
+    table = compare_games(reports)
+    reference = _reference_compare(reports)
+    assert table == reference
+    assert [list(r.ipms) for r in table.rows] == [list(r.ipms) for r in reference.rows]
+    assert any(None in r.ipms.values() for r in table.rows)
+    means = [r.mean for r in table.rows]
+    assert len(set(means)) < len(means)  # tied means exercise the id tiebreak

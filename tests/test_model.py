@@ -82,6 +82,12 @@ def test_free_throw_count_must_be_positive():
     assert "made >= 1" in v[0].reason
 
 
+@pytest.mark.parametrize("made, ok", [(1, True), (3, True), (4, False)])
+def test_free_throw_count_range(made, ok):
+    v = validate_game(_game([FoulWithFreeThrows("H1", "A1", made)]))
+    assert (v == []) is ok
+
+
 def test_roster_level_violations():
     empty = GameLog(Sport.SOCCER, (Roster("X", (RosterPlayer("p"),)), Roster("Y", ())), ())
     reasons = [v.reason for v in validate_game(empty)]
@@ -100,6 +106,13 @@ def test_roster_level_violations():
         Roster("Y", (RosterPlayer("p"),)),
     ), ())
     assert any("more than once" in v.reason for v in validate_game(both))
+
+    same_name = GameLog(Sport.SOCCER, (
+        Roster("X", (RosterPlayer("p"),)),
+        Roster("X", (RosterPlayer("q"),)),
+    ), ())
+    assert [str(v) for v in validate_game(same_name)] == [
+        "roster: both teams are named 'X'"]
 
 
 def test_validate_is_pure(demo_log):

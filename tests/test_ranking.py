@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from playrank.model import GameLog, Roster, RosterPlayer, Score, Sport
 from playrank.pipeline import build_digraph
 from playrank.ranking import (
-    CorruptedGraphError, NonConvergenceError, PlayDigraph, apply_events,
-    check_primitive, init_digraph, stationary_direct, stationary_power,
-    to_transition, wielandt_bound,
+    CorruptedGraphError, NonConvergenceError, PlayDigraph, TransitionMatrix,
+    apply_events, check_primitive, init_digraph, stationary_direct,
+    stationary_power, to_transition, wielandt_bound,
 )
 from playrank.rules import GOAL
 from playrank.synth import generate_random_game
@@ -121,6 +121,54 @@ def test_identity_pattern_is_not_primitive():
     result = check_primitive(to_transition(g))
     assert result.is_primitive is False
     assert result.witness is None
+
+
+def _pattern_matrix(counts):
+    counts = np.asarray(counts, dtype=np.int64)
+    nodes = tuple(f"n{i}" for i in range(len(counts)))
+    return TransitionMatrix(nodes, counts, counts.sum(axis=1))
+
+
+def _smallest_witness(counts):
+    """Brute force: the first m <= Wielandt bound with the m-th boolean power
+    of the pattern all true."""
+    pattern = np.asarray(counts) > 0
+    for m in range(1, wielandt_bound(len(pattern)) + 1):
+        if np.linalg.matrix_power(pattern, m).all():
+            return True, m
+    return False, None
+
+
+@st.composite
+def count_matrices(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    counts = np.array(draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=2), min_size=k, max_size=k),
+        min_size=k, max_size=k)), dtype=np.int64)
+    if draw(st.booleans()):  # plant a hub: its whole row and column positive
+        h = draw(st.integers(min_value=0, max_value=k - 1))
+        counts[h, :] = np.maximum(counts[h, :], 1)
+        counts[:, h] = np.maximum(counts[:, h], 1)
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=count_matrices())
+def test_check_primitive_matches_brute_force_witness(counts):
+    assert check_primitive(_pattern_matrix(counts)) == _smallest_witness(counts)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7])
+def test_hubless_cycle_with_chord_needs_the_wielandt_walk(k):
+    # k-cycle 0 -> 1 -> ... -> k-1 -> 0 plus the chord k-1 -> 1: Wielandt's
+    # matrix, whose smallest witness (k-1)^2 + 1 is the largest possible.
+    counts = np.zeros((k, k), dtype=np.int64)
+    counts[np.arange(k), (np.arange(k) + 1) % k] = 1
+    counts[k - 1, 1] = 1
+    pattern = counts > 0
+    assert not (pattern.all(axis=0) & pattern.all(axis=1)).any()
+    assert check_primitive(_pattern_matrix(counts)) == (True, (k - 1) ** 2 + 1)
+    assert _smallest_witness(counts) == (True, wielandt_bound(k))
 
 
 @settings(max_examples=40, deadline=None)
