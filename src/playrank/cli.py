@@ -57,7 +57,8 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _report_exception(path: Path | None, exc: Exception) -> None:
-    prefix = f"{path}: " if path is not None else ""
+    # read failures (OSError) already name their file
+    prefix = f"{path}: " if path is not None and not isinstance(exc, OSError) else ""
     if isinstance(exc, ValidationFailed):
         for v in exc.violations:
             _err(f"{prefix}{v}")
@@ -66,7 +67,10 @@ def _report_exception(path: Path | None, exc: Exception) -> None:
 
 
 def _load_log(path: Path, input_format: str) -> GameLog:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a read failure, like a missing file
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if input_format == "json":
         return parse_gamelog(text)
     if input_format == "playscript":

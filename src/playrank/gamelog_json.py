@@ -25,16 +25,20 @@ import json
 from typing import Any
 
 from .model import (
-    EVENT_NAMES, PLAYER_FIELDS, Event, FoulWithFreeThrows, GameLog,
-    GameMetadata, Roster, RosterPlayer, Score, Sport,
+    EVENT_SPECS, SPEC_BY_CLASS, Event, GameLog, GameMetadata, Roster,
+    RosterPlayer, Sport,
 )
 
 SCHEMA_VERSION = "1"
 
-_CLASS_BY_NAME = {name: cls for cls, name in EVENT_NAMES.items()}
-_INT_FIELDS: dict[type, tuple[str, ...]] = {
-    Score: ("points",),
-    FoulWithFreeThrows: ("made",),
+# Per sport: wire name -> (class, player fields, integer fields, allowed keys).
+_WIRE: dict[Sport, dict[str, tuple]] = {
+    sport: {
+        spec.name: (spec.cls, spec.roles, spec.wire_ints(sport),
+                    frozenset(("type", *spec.roles, *spec.wire_ints(sport))))
+        for spec in EVENT_SPECS
+    }
+    for sport in Sport
 }
 
 
@@ -77,27 +81,19 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"{path}.{sorted(unknown)[0]}", "unknown field")
+def _reject_unknown(obj: dict, allowed: set[str] | frozenset[str], path: str) -> None:
+    if not allowed.issuperset(obj):
+        raise SchemaError(f"{path}.{sorted(set(obj) - allowed)[0]}", "unknown field")
 
 
-def _event_fields(cls: type, sport: Sport) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    ints = _INT_FIELDS.get(cls, ())
-    if cls is Score and sport is not Sport.BASKETBALL:
-        ints = ()  # soccer/hockey goals are always worth one
-    return PLAYER_FIELDS[cls], ints
-
-
-def _parse_event(obj: Any, sport: Sport, path: str) -> Event:
+def _parse_event(obj: Any, kinds: dict, path: str) -> Event:
     obj = _as_obj(obj, path)
     name = _as_str(_require(obj, "type", path), f"{path}.type")
-    cls = _CLASS_BY_NAME.get(name)
-    if cls is None:
+    kind = kinds.get(name)
+    if kind is None:
         raise SchemaError(f"{path}.type", f"unknown event type '{name}'")
-    players, ints = _event_fields(cls, sport)
-    _reject_unknown(obj, {"type", *players, *ints}, path)
+    cls, players, ints, allowed = kind
+    _reject_unknown(obj, allowed, path)
     kwargs: dict[str, Any] = {}
     for f in players:
         kwargs[f] = _as_str(_require(obj, f, path), f"{path}.{f}")
@@ -172,23 +168,22 @@ def parse_gamelog(text: str) -> GameLog:
         )
 
     events = _as_list(_require(doc, "events", "$"), "$.events")
+    kinds = _WIRE[sport]
     parsed = tuple(
-        _parse_event(e, sport, f"$.events[{i}]") for i, e in enumerate(events)
+        _parse_event(e, kinds, f"$.events[{i}]") for i, e in enumerate(events)
     )
     return GameLog(sport, (rosters[0], rosters[1]), parsed, metadata)
 
 
 def _event_to_obj(ev: Event, sport: Sport) -> dict:
-    cls = type(ev)
-    players, ints = _event_fields(cls, sport)
-    if cls is Score and sport is not Sport.BASKETBALL and ev.points != 1:
-        raise ValueError(
-            f"cannot encode a {sport.value} score worth {ev.points}; validate the log first"
-        )
-    obj: dict[str, Any] = {"type": EVENT_NAMES[cls]}
-    for f in players:
-        obj[f] = getattr(ev, f)
-    for f in ints:
+    spec = SPEC_BY_CLASS[type(ev)]
+    carried = spec.wire_ints(sport)
+    for f in spec.ints:
+        if f not in carried and getattr(ev, f) != 1:
+            raise ValueError(f"cannot encode a {sport.value} {spec.name} worth "
+                             f"{getattr(ev, f)}; validate the log first")
+    obj: dict[str, Any] = {"type": spec.name}
+    for f in spec.roles + carried:
         obj[f] = getattr(ev, f)
     return obj
 

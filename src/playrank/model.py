@@ -1,4 +1,4 @@
-"""Game logs: sports, rosters, the per-sport event vocabulary, and validation.
+"""Game logs: sports, events, the event table, rosters, and validation.
 
 A GameLog is the unit of input for everything downstream: an ordered list of
 events between two fixed rosters.  Events reference players by caller-supplied
@@ -6,13 +6,17 @@ id strings; the library never invents identifiers.  All types are immutable
 after construction and validation is a pure function that collects every
 violation instead of failing fast, so a hand-transcribed log can be cleaned up
 in one pass.
+
+EVENT_SPECS holds one row per event type with everything the pipeline knows
+about it: wire name, player roles, pair rule, integer bounds, and per sport
+its arc and synthesizer weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class Sport(str, Enum):
@@ -186,80 +190,120 @@ Event = Union[
     Offside, PenaltyDrawnNoPPG, PenaltyDrawnPPG, Icing,
 ]
 
-# Wire/type names, one per variant (used by the JSON format, the synthesizer
-# weights and error messages).
-EVENT_NAMES: dict[type, str] = {
-    Pass: "pass",
-    Dispossess: "dispossess",
-    Intercept: "intercept",
-    Touch: "touch",
-    UnforcedTurnover: "unforced_turnover",
-    Stoppage: "stoppage",
-    ContestedMiss: "contested_miss",
-    Score: "score",
-    UncontestedMissRebounded: "uncontested_miss_rebounded",
-    FoulWithFreeThrows: "foul_with_free_throws",
-    FoulNoFreeThrows: "foul_no_free_throws",
-    UncontestedMissDead: "uncontested_miss_dead",
-    Save: "save",
-    FoulDead: "foul_dead",
-    FoulLeadingToGoal: "foul_leading_to_goal",
-    Offside: "offside",
-    PenaltyDrawnNoPPG: "penalty_drawn_no_ppg",
-    PenaltyDrawnPPG: "penalty_drawn_ppg",
-    Icing: "icing",
-}
+# ---------------------------------------------------------------------------
+# The event table
+# ---------------------------------------------------------------------------
 
-_COMMON_EVENTS = (Pass, Dispossess, Intercept, Touch, UnforcedTurnover,
-                  Stoppage, ContestedMiss, Score)
+class _Goal:
+    """Singleton marker for the goal node."""
 
-SPORT_EVENTS: dict[Sport, frozenset[type]] = {
-    Sport.BASKETBALL: frozenset(_COMMON_EVENTS + (
-        UncontestedMissRebounded, FoulWithFreeThrows, FoulNoFreeThrows)),
-    Sport.SOCCER: frozenset(_COMMON_EVENTS + (
-        UncontestedMissDead, Save, FoulDead, FoulLeadingToGoal, Offside)),
-    Sport.HOCKEY: frozenset(_COMMON_EVENTS + (
-        UncontestedMissDead, Save, PenaltyDrawnNoPPG, PenaltyDrawnPPG,
-        Offside, Icing)),
-}
+    _instance = None
 
-# Event fields that must reference players on opposite teams.  Pass is the
-# only same-team pair; Offside/Icing/UncontestedMissRebounded sides are
-# deliberately unconstrained.
-_OPPOSITE_TEAM_FIELDS: dict[type, tuple[str, str]] = {
-    Dispossess: ("winner", "loser"),
-    Intercept: ("winner", "passer"),
-    ContestedMiss: ("shooter", "defender"),
-    Save: ("shooter", "keeper"),
-    FoulWithFreeThrows: ("fouler", "fouled"),
-    FoulNoFreeThrows: ("fouler", "fouled"),
-    FoulDead: ("fouler", "fouled"),
-    FoulLeadingToGoal: ("fouler", "fouled"),
-    PenaltyDrawnNoPPG: ("drawer", "penalized"),
-    PenaltyDrawnPPG: ("drawer", "penalized"),
-}
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
 
-# Every field of every event that holds a player id.
-PLAYER_FIELDS: dict[type, tuple[str, ...]] = {
-    Pass: ("passer", "receiver"),
-    Dispossess: ("winner", "loser"),
-    Intercept: ("winner", "passer"),
-    Touch: ("player",),
-    UnforcedTurnover: ("player",),
-    Stoppage: (),
-    ContestedMiss: ("shooter", "defender"),
-    Score: ("scorer",),
-    UncontestedMissRebounded: ("shooter", "rebounder"),
-    FoulWithFreeThrows: ("fouler", "fouled"),
-    FoulNoFreeThrows: ("fouler", "fouled"),
-    UncontestedMissDead: ("shooter",),
-    Save: ("shooter", "keeper"),
-    FoulDead: ("fouler", "fouled"),
-    FoulLeadingToGoal: ("fouler", "fouled"),
-    Offside: ("passer", "offside_player"),
-    PenaltyDrawnNoPPG: ("drawer", "penalized"),
-    PenaltyDrawnPPG: ("drawer", "penalized"),
-    Icing: ("icer", "toucher"),
+    def __repr__(self) -> str:
+        return "GOAL"
+
+
+GOAL = _Goal()
+
+NodeRef = Union[str, _Goal]
+
+# Pair rules for an event's first two roles.
+TEAMMATES = "teammates"  # two distinct players on one team
+OPPONENTS = "opponents"  # one player from each team
+
+# (src role or GOAL, dst role, weight field or constant)
+ArcTemplate = tuple[Union[str, _Goal], str, Union[str, int]]
+
+
+class EventSpec(NamedTuple):
+    """Everything the pipeline knows about one event type.
+
+    ``roles`` are the fields holding player ids, in wire order; ``pair``
+    (TEAMMATES, OPPONENTS or None) constrains the first two.  ``ints`` maps
+    each integer field to its inclusive bounds.  ``sports`` has an entry for
+    every sport where the event is legal: the arc the event adds there
+    (None for a dead ball) and the synthesizer's default weight.  An integer
+    field that a sport's arc does not weight by is fixed at 1 in that sport
+    and left off the wire: soccer and hockey goals always count once.
+    """
+
+    cls: type
+    name: str
+    roles: tuple[str, ...]
+    pair: str | None
+    ints: dict[str, tuple[int, int]]
+    sports: dict[Sport, tuple[ArcTemplate | None, float]]
+
+    def wire_ints(self, sport: Sport) -> tuple[str, ...]:
+        """Integer fields the event carries in ``sport``."""
+        arc = self.sports.get(sport, (None,))[0]
+        return tuple(f for f in self.ints if arc is None or arc[2] == f)
+
+
+_B, _S, _H = Sport.BASKETBALL, Sport.SOCCER, Sport.HOCKEY
+
+
+def _everywhere(arc: ArcTemplate | None, b: float, s: float, h: float):
+    return {_B: (arc, b), _S: (arc, s), _H: (arc, h)}
+
+
+# The direction convention makes rank flow toward playmakers: a completed
+# pass credits the passer (arc receiver -> passer), losing the ball credits
+# whoever took it, and scoring pulls arcs out of the goal node (one per point
+# in basketball).  Offside is credited to the offside player in soccer and to
+# the passer in hockey; both are kept exactly as specified for their sport.
+EVENT_SPECS: tuple[EventSpec, ...] = (
+    EventSpec(Pass, "pass", ("passer", "receiver"), TEAMMATES, {},
+              _everywhere(("receiver", "passer", 1), 50, 55, 50)),
+    EventSpec(Dispossess, "dispossess", ("winner", "loser"), OPPONENTS, {},
+              _everywhere(("loser", "winner", 1), 6, 8, 7)),
+    EventSpec(Intercept, "intercept", ("winner", "passer"), OPPONENTS, {},
+              _everywhere(("passer", "winner", 1), 5, 6, 6)),
+    EventSpec(Touch, "touch", ("player",), None, {}, _everywhere(None, 3, 4, 3)),
+    EventSpec(UnforcedTurnover, "unforced_turnover", ("player",), None, {},
+              _everywhere(None, 4, 4, 4)),
+    EventSpec(Stoppage, "stoppage", (), None, {}, _everywhere(None, 3, 2, 3)),
+    EventSpec(ContestedMiss, "contested_miss", ("shooter", "defender"), OPPONENTS, {},
+              _everywhere(("shooter", "defender", 1), 8, 4, 6)),
+    EventSpec(Score, "score", ("scorer",), None, {"points": (1, 4)}, {
+        _B: ((GOAL, "scorer", "points"), 10),
+        _S: ((GOAL, "scorer", 1), 2),
+        _H: ((GOAL, "scorer", 1), 3)}),
+    EventSpec(UncontestedMissRebounded, "uncontested_miss_rebounded",
+              ("shooter", "rebounder"), None, {}, {_B: (("shooter", "rebounder", 1), 6)}),
+    EventSpec(FoulWithFreeThrows, "foul_with_free_throws", ("fouler", "fouled"), OPPONENTS,
+              {"made": (1, 3)}, {_B: ((GOAL, "fouled", "made"), 3)}),
+    EventSpec(FoulNoFreeThrows, "foul_no_free_throws", ("fouler", "fouled"), OPPONENTS, {},
+              {_B: (("fouled", "fouler", 1), 2)}),  # smart foul
+    EventSpec(UncontestedMissDead, "uncontested_miss_dead", ("shooter",), None, {},
+              {_S: (None, 3), _H: (None, 3)}),
+    EventSpec(Save, "save", ("shooter", "keeper"), OPPONENTS, {},
+              {_S: (("shooter", "keeper", 1), 4), _H: (("shooter", "keeper", 1), 8)}),
+    EventSpec(FoulDead, "foul_dead", ("fouler", "fouled"), OPPONENTS, {}, {_S: (None, 5)}),
+    EventSpec(FoulLeadingToGoal, "foul_leading_to_goal", ("fouler", "fouled"), OPPONENTS, {},
+              {_S: (("fouler", "fouled", 1), 1)}),  # smart draw
+    EventSpec(Offside, "offside", ("passer", "offside_player"), None, {}, {
+        _S: (("passer", "offside_player", 1), 2),
+        _H: (("offside_player", "passer", 1), 2)}),
+    EventSpec(PenaltyDrawnNoPPG, "penalty_drawn_no_ppg", ("drawer", "penalized"), OPPONENTS,
+              {}, {_H: (("drawer", "penalized", 1), 2)}),  # smart penalty
+    EventSpec(PenaltyDrawnPPG, "penalty_drawn_ppg", ("drawer", "penalized"), OPPONENTS, {},
+              {_H: (("penalized", "drawer", 1), 1)}),  # smart draw
+    EventSpec(Icing, "icing", ("icer", "toucher"), None, {},
+              {_H: (("icer", "toucher", 1), 2)}),  # a turnover to the toucher
+)
+
+SPEC_BY_CLASS: dict[type, EventSpec] = {spec.cls: spec for spec in EVENT_SPECS}
+
+# The rows of the event types legal in each sport.
+SPORT_EVENTS: dict[Sport, dict[type, EventSpec]] = {
+    sport: {spec.cls: spec for spec in EVENT_SPECS if sport in spec.sports}
+    for sport in Sport
 }
 
 
@@ -367,43 +411,43 @@ def validate_game(log: GameLog) -> list[Violation]:
 
     team_of = _team_of(log)
     legal = SPORT_EVENTS[log.sport]
-
+    carried = {cls: spec.wire_ints(log.sport) for cls, spec in legal.items() if spec.ints}
+    sport = log.sport.value
     for i, ev in enumerate(log.events):
-        cls = type(ev)
-        name = EVENT_NAMES.get(cls, cls.__name__)
-        if cls not in EVENT_NAMES:
-            out.append(Violation(i, f"unknown event type {cls.__name__}"))
+        spec = legal.get(type(ev))
+        if spec is None:
+            spec = SPEC_BY_CLASS.get(type(ev))
+            out.append(Violation(i, f"unknown event type {type(ev).__name__}" if spec is None
+                                 else f"{spec.name} is not a {sport} event"))
             continue
-        if cls not in legal:
-            out.append(Violation(i, f"{name} is not a {log.sport.value} event"))
-            continue
-
+        name, roles, pair = spec.name, spec.roles, spec.pair
         missing = False
-        for fname in PLAYER_FIELDS[cls]:
-            pid = getattr(ev, fname)
+        for role in roles:
+            pid = getattr(ev, role)
             if pid not in team_of:
                 out.append(Violation(i, f"{name} references unknown player '{pid}'"))
                 missing = True
         if missing:
             continue
 
-        if cls is Pass:
-            if ev.passer == ev.receiver:
-                out.append(Violation(i, "pass endpoints must be distinct"))
-            elif team_of[ev.passer] != team_of[ev.receiver]:
-                out.append(Violation(i, "pass endpoints on opposite teams"))
-        elif cls in _OPPOSITE_TEAM_FIELDS:
-            fa, fb = _OPPOSITE_TEAM_FIELDS[cls]
-            if team_of[getattr(ev, fa)] == team_of[getattr(ev, fb)]:
-                out.append(Violation(i, f"{name} endpoints must be on opposite teams"))
+        if pair is not None:
+            a, b = getattr(ev, roles[0]), getattr(ev, roles[1])
+            if pair is OPPONENTS:
+                if team_of[a] == team_of[b]:
+                    out.append(Violation(i, f"{name} endpoints must be on opposite teams"))
+            elif a == b:
+                out.append(Violation(i, f"{name} endpoints must be distinct"))
+            elif team_of[a] != team_of[b]:
+                out.append(Violation(i, f"{name} endpoints on opposite teams"))
 
-        if cls is Score and log.sport is Sport.BASKETBALL:
-            if not 1 <= ev.points <= 4:
-                out.append(Violation(i, f"basketball score points must be 1..4, got {ev.points}"))
-        elif cls is Score and ev.points != 1:
-            out.append(Violation(i, f"{log.sport.value} scores are always worth 1, got points={ev.points}"))
-        if cls is FoulWithFreeThrows and not 1 <= ev.made <= 3:
-            # a foul awards at most three free throws
-            out.append(Violation(i, f"foul_with_free_throws needs made >= 1 and <= 3, got {ev.made}"))
+        if spec.ints:
+            for f, (lo, hi) in spec.ints.items():
+                value = getattr(ev, f)
+                if f not in carried[spec.cls]:
+                    if value != 1:
+                        out.append(Violation(
+                            i, f"{sport} {name}s are always worth 1, got {f}={value}"))
+                elif not lo <= value <= hi:
+                    out.append(Violation(i, f"{name} needs {f} >= {lo} and <= {hi}, got {value}"))
 
     return out

@@ -44,9 +44,7 @@ class PlayscriptError(Exception):
 
 
 def _is_reserved(token: str) -> bool:
-    if token in ("G", "0"):
-        return True
-    return token.startswith("G:") and token[2:].isdigit()
+    return token in ("G", "0") or token.startswith("G:")
 
 
 def _split_tokens(text: str):
@@ -66,7 +64,7 @@ def parse_playscript(text: str) -> GameLog:
     partially parsed log is never returned.
     """
     teams: list[Roster] = []
-    starters: set[str] = set()
+    starters: dict[str, tuple[int, int]] = {}  # id -> where #starters named it
     team_of: dict[str, int] = {}
     events: list[Event] = []
 
@@ -98,7 +96,8 @@ def parse_playscript(text: str) -> GameLog:
                 team_of[pid] = len(teams)
             teams.append(Roster(name, tuple(RosterPlayer(pid) for pid in ids)))
         elif fields[0] == "#starters":
-            starters.update(fields[1:])
+            for pid in fields[1:]:
+                starters.setdefault(pid, (lineno, col))
         else:
             raise PlayscriptError("malformed-header", lineno, col,
                                   f"unknown directive {fields[0]!r}")
@@ -106,9 +105,9 @@ def parse_playscript(text: str) -> GameLog:
     if len(teams) != 2:
         raise PlayscriptError("malformed-header", len(lines) + 1, 1,
                               f"expected two #team lines, found {len(teams)}")
-    for pid in sorted(starters):
+    for pid, (lineno, col) in starters.items():
         if pid not in team_of:
-            raise PlayscriptError("undeclared-player", 1, 1,
+            raise PlayscriptError("undeclared-player", lineno, col,
                                   f"#starters references undeclared player {pid!r}")
     if starters:
         teams = [
@@ -133,7 +132,8 @@ def parse_playscript(text: str) -> GameLog:
                 points = 1
                 if token != "G":
                     digits = token[2:]
-                    if not digits.isdigit() or not 1 <= int(digits) <= MAX_POINTS:
+                    if not (digits.isascii() and digits.isdigit()
+                            and 1 <= int(digits) <= MAX_POINTS):
                         raise PlayscriptError(
                             "unknown-token", lineno, col,
                             f"bad score token {token!r} (use G or G:1..G:{MAX_POINTS})")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import GameLog, Roster
-from .rules import GOAL, NodeRef, arcs_for_event
+from .rules import GOAL, NodeRef, fold_arcs
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 1_000_000
@@ -147,9 +147,8 @@ def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
     """
     counts = g.counts.copy()
     idx = g._index
-    for ev in log.events:
-        for src, dst, k in arcs_for_event(log.sport, ev):
-            counts[idx[src], idx[dst]] += k
+    for (src, dst), k in fold_arcs(log.sport, log.events).items():
+        counts[idx[src], idx[dst]] += k
     return PlayDigraph(g.nodes, counts)
 
 

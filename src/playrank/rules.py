@@ -1,47 +1,15 @@
 """Arc rules: what each event adds to the possession digraph.
 
-The direction convention makes rank flow toward playmakers: a completed pass
-credits the passer (arc receiver -> passer), losing the ball credits whoever
-took it (arc loser -> winner), and scoring pulls arcs out of the goal node
-(arc goal -> scorer, one per point in basketball).  Dead-ball events add
-nothing.
-
-Each sport's table below is one entry per event type, kept flat so the three
-rule sets can be compared line by line.  Note the offside asymmetry: soccer
-credits the player caught offside, hockey credits the passer.  Both are kept
-exactly as specified for their sport rather than reconciled.
+Each sport's rule for an event type is the arc template in its row of
+``model.EVENT_SPECS``: ``(src role or GOAL, dst role, weight field or 1)``,
+or None for a dead ball, which adds nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
-from .model import (
-    EVENT_NAMES, Event, Sport,
-    Pass, Dispossess, Intercept, Touch, UnforcedTurnover, Stoppage,
-    ContestedMiss, Score, UncontestedMissRebounded, FoulWithFreeThrows,
-    FoulNoFreeThrows, UncontestedMissDead, Save, FoulDead, FoulLeadingToGoal,
-    Offside, PenaltyDrawnNoPPG, PenaltyDrawnPPG, Icing,
-)
-
-
-class _Goal:
-    """Singleton marker for the goal node."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "GOAL"
-
-
-GOAL = _Goal()
-
-NodeRef = Union[str, _Goal]
+from .model import GOAL, SPEC_BY_CLASS, SPORT_EVENTS, Event, NodeRef, Sport
 
 
 class Arc(NamedTuple):
@@ -52,62 +20,33 @@ class Arc(NamedTuple):
 
 ArcDelta = tuple[Arc, ...]
 
-_NONE: ArcDelta = ()
+def fold_arcs(sport: Sport, events: Iterable[Event]) -> dict[tuple[NodeRef, NodeRef], int]:
+    """Total arc count per (src, dst) pair that ``events`` add in ``sport``.
 
-
-def _none(_ev) -> ArcDelta:
-    return _NONE
-
-
-# Rules shared verbatim by all three sports.
-_COMMON: dict[type, Callable[..., ArcDelta]] = {
-    Pass: lambda e: (Arc(e.receiver, e.passer),),          # credit the passer
-    Dispossess: lambda e: (Arc(e.loser, e.winner),),       # credit the taker
-    Intercept: lambda e: (Arc(e.passer, e.winner),),       # like a dispossession
-    ContestedMiss: lambda e: (Arc(e.shooter, e.defender),),  # credit the defender
-    Touch: _none,
-    UnforcedTurnover: _none,
-    Stoppage: _none,
-}
-
-RULES: dict[Sport, dict[type, Callable[..., ArcDelta]]] = {
-    Sport.BASKETBALL: {
-        **_COMMON,
-        Score: lambda e: (Arc(GOAL, e.scorer, e.points),),   # one arc per point
-        UncontestedMissRebounded: lambda e: (Arc(e.shooter, e.rebounder),),
-        FoulWithFreeThrows: lambda e: (Arc(GOAL, e.fouled, e.made),),  # one per made FT
-        FoulNoFreeThrows: lambda e: (Arc(e.fouled, e.fouler),),  # smart foul
-    },
-    Sport.SOCCER: {
-        **_COMMON,
-        Score: lambda e: (Arc(GOAL, e.scorer),),
-        UncontestedMissDead: _none,
-        Save: lambda e: (Arc(e.shooter, e.keeper),),
-        FoulDead: _none,
-        FoulLeadingToGoal: lambda e: (Arc(e.fouler, e.fouled),),  # smart draw
-        Offside: lambda e: (Arc(e.passer, e.offside_player),),   # offside player credited
-    },
-    Sport.HOCKEY: {
-        **_COMMON,
-        Score: lambda e: (Arc(GOAL, e.scorer),),
-        UncontestedMissDead: _none,
-        Save: lambda e: (Arc(e.shooter, e.keeper),),
-        PenaltyDrawnNoPPG: lambda e: (Arc(e.drawer, e.penalized),),  # smart penalty
-        PenaltyDrawnPPG: lambda e: (Arc(e.penalized, e.drawer),),    # smart draw
-        Offside: lambda e: (Arc(e.offside_player, e.passer),),       # passer credited
-        Icing: lambda e: (Arc(e.icer, e.toucher),),  # turnover to the toucher
-    },
-}
+    Raises ValueError for an event type that is not legal in ``sport``
+    (defensive; validated logs never hit this).
+    """
+    arcs = {cls: spec.sports[sport][0] for cls, spec in SPORT_EVENTS[sport].items()}
+    tally: dict[tuple[NodeRef, NodeRef], int] = {}
+    for ev in events:
+        try:
+            arc = arcs[type(ev)]
+        except KeyError:
+            spec = SPEC_BY_CLASS.get(type(ev))
+            name = type(ev).__name__ if spec is None else spec.name
+            raise ValueError(f"{name} is not a {sport.value} event") from None
+        if arc is None:
+            continue
+        src, dst, weight = arc
+        key = (src if src is GOAL else getattr(ev, src), getattr(ev, dst))
+        tally[key] = tally.get(key, 0) + (
+            getattr(ev, weight) if isinstance(weight, str) else weight)
+    return tally
 
 
 def arcs_for_event(sport: Sport, event: Event) -> ArcDelta:
     """Arcs the event adds to the digraph; empty tuple for dead-ball events.
 
-    Raises ValueError for an event type that is not legal in ``sport``
-    (defensive; validated logs never hit this).
+    Raises ValueError for an event type that is not legal in ``sport``.
     """
-    rule = RULES[sport].get(type(event))
-    if rule is None:
-        name = EVENT_NAMES.get(type(event), type(event).__name__)
-        raise ValueError(f"{name} is not a {sport.value} event")
-    return rule(event)
+    return tuple(Arc(src, dst, k) for (src, dst), k in fold_arcs(sport, (event,)).items())

@@ -1,11 +1,12 @@
 """Seeded random game generation for property tests and benchmarks.
 
 Games are valid by construction (generate_random_game output always passes
-validate_game) and deterministic for a fixed seed.  The event mix is drawn
-from per-sport weights over the sport's legal event types; pass weights to
-skew the mix, using the wire names from EVENT_NAMES (e.g. {"pass": 10.0,
-"score": 1.0}).  Events needing two teammates (passes, offsides) are
-dropped from the pool automatically in 1-on-1 games.
+validate_game) and deterministic for a fixed seed.  Event types are drawn
+with the default weights in their rows of EVENT_SPECS; pass weights to skew
+the mix, keyed by wire name (e.g. {"pass": 10.0, "score": 1.0}).  Players
+are drawn to fit each row's pair rule and integer fields uniformly within
+their bounds.  Events needing two teammates (passes) are dropped from the
+pool automatically in 1-on-1 games.
 """
 
 from __future__ import annotations
@@ -13,38 +14,10 @@ from __future__ import annotations
 import random
 
 from .model import (
-    EVENT_NAMES, SPORT_EVENTS, Event, GameLog, Roster, RosterPlayer, Sport,
-    Pass, Dispossess, Intercept, Touch, UnforcedTurnover, Stoppage,
-    ContestedMiss, Score, UncontestedMissRebounded, FoulWithFreeThrows,
-    FoulNoFreeThrows, UncontestedMissDead, Save, FoulDead, FoulLeadingToGoal,
-    Offside, PenaltyDrawnNoPPG, PenaltyDrawnPPG, Icing,
+    OPPONENTS, SPORT_EVENTS, TEAMMATES, GameLog, Roster, RosterPlayer, Sport,
 )
 
 _STARTERS_PER_TEAM = {Sport.BASKETBALL: 5, Sport.SOCCER: 11, Sport.HOCKEY: 6}
-
-DEFAULT_WEIGHTS: dict[Sport, dict[str, float]] = {
-    Sport.BASKETBALL: {
-        "pass": 50, "dispossess": 6, "intercept": 5, "contested_miss": 8,
-        "uncontested_miss_rebounded": 6, "score": 10,
-        "foul_with_free_throws": 3, "foul_no_free_throws": 2,
-        "touch": 3, "unforced_turnover": 4, "stoppage": 3,
-    },
-    Sport.SOCCER: {
-        "pass": 55, "dispossess": 8, "intercept": 6, "contested_miss": 4,
-        "uncontested_miss_dead": 3, "save": 4, "score": 2, "foul_dead": 5,
-        "foul_leading_to_goal": 1, "offside": 2,
-        "touch": 4, "unforced_turnover": 4, "stoppage": 2,
-    },
-    Sport.HOCKEY: {
-        "pass": 50, "dispossess": 7, "intercept": 6, "contested_miss": 6,
-        "uncontested_miss_dead": 3, "save": 8, "score": 3,
-        "penalty_drawn_no_ppg": 2, "penalty_drawn_ppg": 1, "offside": 2,
-        "icing": 2, "touch": 3, "unforced_turnover": 4, "stoppage": 3,
-    },
-}
-
-# Event types whose actors must be two distinct teammates.
-_NEEDS_TEAMMATES = {"pass", "offside"}
 
 
 def _make_rosters(sport: Sport, n_players: int) -> tuple[Roster, Roster]:
@@ -60,64 +33,6 @@ def _make_rosters(sport: Sport, n_players: int) -> tuple[Roster, Roster]:
     return roster("Home", "H", n_home), roster("Away", "A", n_players - n_home)
 
 
-def _make_event(name: str, rng: random.Random,
-                teams: tuple[tuple[str, ...], tuple[str, ...]],
-                everyone: tuple[str, ...]) -> Event:
-    def teammates() -> tuple[str, str]:
-        side = rng.choice([t for t in teams if len(t) >= 2])
-        return tuple(rng.sample(side, 2))
-
-    def opponents() -> tuple[str, str]:
-        a, b = teams if rng.random() < 0.5 else (teams[1], teams[0])
-        return rng.choice(a), rng.choice(b)
-
-    one = lambda: rng.choice(everyone)
-
-    if name == "pass":
-        return Pass(*teammates())
-    if name == "dispossess":
-        return Dispossess(*opponents())
-    if name == "intercept":
-        return Intercept(*opponents())
-    if name == "contested_miss":
-        return ContestedMiss(*opponents())
-    if name == "score":
-        points = rng.choices([1, 2, 3], weights=[3, 5, 2])[0]
-        return Score(one(), points)
-    if name == "uncontested_miss_rebounded":
-        shooter = one()
-        return UncontestedMissRebounded(shooter, rng.choice(
-            [p for p in everyone if p != shooter]))
-    if name == "foul_with_free_throws":
-        fouler, fouled = opponents()
-        return FoulWithFreeThrows(fouler, fouled, rng.randint(1, 3))
-    if name == "foul_no_free_throws":
-        return FoulNoFreeThrows(*opponents())
-    if name == "uncontested_miss_dead":
-        return UncontestedMissDead(one())
-    if name == "save":
-        return Save(*opponents())
-    if name == "foul_dead":
-        return FoulDead(*opponents())
-    if name == "foul_leading_to_goal":
-        return FoulLeadingToGoal(*opponents())
-    if name == "offside":
-        return Offside(*teammates())
-    if name == "penalty_drawn_no_ppg":
-        return PenaltyDrawnNoPPG(*opponents())
-    if name == "penalty_drawn_ppg":
-        return PenaltyDrawnPPG(*opponents())
-    if name == "icing":
-        return Icing(*opponents())
-    if name == "touch":
-        return Touch(one())
-    if name == "unforced_turnover":
-        return UnforcedTurnover(one())
-    if name == "stoppage":
-        return Stoppage()
-    raise ValueError(f"unknown event type {name!r}")
-
-
 def generate_random_game(
     sport: Sport,
     n_players: int,
@@ -127,18 +42,18 @@ def generate_random_game(
 ) -> GameLog:
     """Build a deterministic random GameLog that always validates clean.
 
-    Soccer/hockey scores are generated with points == 1 regardless of the
-    basketball point distribution.
+    Raises ValueError when ``n_events`` > 0 and no event type is left to
+    draw (every weight is 0, or only passes remain in a 1-on-1 game).
     """
     if n_players < 2:
         raise ValueError(f"need at least 2 players, got {n_players}")
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
 
-    legal = {EVENT_NAMES[cls] for cls in SPORT_EVENTS[sport]}
-    table = dict(DEFAULT_WEIGHTS[sport])
+    specs = SPORT_EVENTS[sport].values()
+    table = {spec.name: spec.sports[sport][1] for spec in specs}
     if weights is not None:
-        unknown = set(weights) - legal
+        unknown = set(weights) - set(table)
         if unknown:
             raise ValueError(
                 f"weights for non-{sport.value} event types: {sorted(unknown)}")
@@ -148,18 +63,25 @@ def generate_random_game(
     home, away = _make_rosters(sport, n_players)
     teams = (home.player_ids, away.player_ids)
     everyone = teams[0] + teams[1]
+    sides = [t for t in teams if len(t) >= 2]
 
-    if max(len(t) for t in teams) < 2:
-        table = {k: w for k, w in table.items() if k not in _NEEDS_TEAMMATES}
-    names = sorted(k for k, w in table.items() if w > 0)
-    pool_weights = [table[k] for k in names]
+    pool = [spec for spec in specs
+            if table[spec.name] > 0 and (sides or spec.pair is not TEAMMATES)]
+    if n_events and not pool:
+        raise ValueError(f"no {sport.value} event type has a positive weight "
+                         f"that this roster can play")
+    kinds = rng.choices(pool, [table[spec.name] for spec in pool], k=n_events) if pool else []
 
     events = []
-    for _ in range(n_events):
-        name = rng.choices(names, weights=pool_weights)[0]
-        ev = _make_event(name, rng, teams, everyone)
-        if sport is not Sport.BASKETBALL and isinstance(ev, Score):
-            ev = Score(ev.scorer, 1)
-        events.append(ev)
+    for spec in kinds:
+        if spec.pair is TEAMMATES:
+            ids = rng.sample(rng.choice(sides), 2)
+        elif spec.pair is OPPONENTS:
+            a, b = teams if rng.random() < 0.5 else (teams[1], teams[0])
+            ids = (rng.choice(a), rng.choice(b))
+        else:
+            ids = rng.sample(everyone, len(spec.roles))
+        ints = {f: rng.randint(*spec.ints[f]) for f in spec.wire_ints(sport)}
+        events.append(spec.cls(*ids, **ints))
 
     return GameLog(sport, (home, away), tuple(events))

@@ -81,6 +81,20 @@ def test_rank_missing_file_exits_2(capsys, tmp_path):
     assert err
 
 
+@pytest.fixture()
+def non_utf8_game(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+@pytest.mark.parametrize("command", ["rank", "matrix", "validate"])
+def test_non_utf8_input_exits_2(capsys, non_utf8_game, command):
+    code, out, err = run(capsys, command, str(non_utf8_game))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{non_utf8_game}: not UTF-8 text")
+
+
 def test_rank_output_file(capsys, tmp_path, demo_playscript_path):
     out_path = tmp_path / "report.txt"
     code, out, _ = run(capsys, "rank", str(demo_playscript_path), "-o", str(out_path))
@@ -227,6 +241,18 @@ def test_batch_isolates_failures(capsys, tmp_path, demo_playscript_path, bad_pla
     assert (out_dir / "three_on_three.report.txt").exists()  # good file still ranked
     summary = (out_dir / "summary.csv").read_text(encoding="utf-8")
     assert "broken" not in summary
+
+
+def test_batch_reports_non_utf8_file_and_goes_on(capsys, tmp_path, demo_playscript_path,
+                                                non_utf8_game):
+    out_dir = tmp_path / "reports"
+    code, _, err = run(capsys, "batch", str(non_utf8_game), str(demo_playscript_path),
+                       "--output-dir", str(out_dir))
+    assert code == 2
+    assert err.startswith(f"{non_utf8_game}: ") and "not UTF-8 text" in err
+    assert (out_dir / "three_on_three.report.txt").exists()
+    summary = (out_dir / "summary.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == ["three_on_three"]
 
 
 def test_batch_matches_single_runs(capsys, tmp_path, demo_playscript_path):

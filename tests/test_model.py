@@ -1,10 +1,14 @@
+import typing
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
-    ContestedMiss, FoulWithFreeThrows, GameLog, Pass, Roster, RosterPlayer,
-    Save, Score, Sport, UncontestedMissRebounded, validate_game,
+    EVENT_SPECS, OPPONENTS, SPORT_EVENTS, TEAMMATES, ContestedMiss, Event,
+    FoulWithFreeThrows, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
+    UncontestedMissRebounded, validate_game,
 )
 from playrank.synth import generate_random_game
 
@@ -125,6 +129,51 @@ def test_collects_all_violations_not_just_first():
     assert [x.event_index for x in v] == [0, 1, 2]
 
 
+# --- the event table ----------------------------------------------------
+
+def test_every_event_type_has_exactly_one_row():
+    classes = [spec.cls for spec in EVENT_SPECS]
+    assert sorted(classes, key=str) == sorted(typing.get_args(Event), key=str)
+    assert len({spec.name for spec in EVENT_SPECS}) == len(EVENT_SPECS)
+
+
+@pytest.mark.parametrize("spec", EVENT_SPECS, ids=lambda spec: spec.name)
+def test_row_fields_match_the_dataclass(spec):
+    hints = typing.get_type_hints(spec.cls)
+    assert spec.roles == tuple(f for f, t in hints.items() if t is str)
+    assert tuple(spec.ints) == tuple(f for f, t in hints.items() if t is int)
+    assert len(spec.roles) >= 2 or spec.pair is None
+    assert spec.sports
+
+
+def _sample(spec, sport, ids):
+    ints = {f: spec.ints[f][1] for f in spec.wire_ints(sport)}
+    return spec.cls(*ids[:len(spec.roles)], **ints)
+
+
+@pytest.mark.parametrize("sport, spec", [
+    (sport, spec) for sport in Sport for spec in SPORT_EVENTS[sport].values()
+], ids=lambda v: v.value if isinstance(v, Sport) else v.name)
+def test_each_legal_event_round_trips_and_checks_its_pair(sport, spec):
+    legal_ids = ("H1", "H2") if spec.pair is TEAMMATES else ("H1", "A1")
+    log = _game([_sample(spec, sport, legal_ids)], sport=sport)
+    assert validate_game(log) == []
+    assert parse_gamelog(render_gamelog(log)) == log
+
+    wrong = {
+        OPPONENTS: [(("H1", "H2"), f"{spec.name} endpoints must be on opposite teams")],
+        TEAMMATES: [(("H1", "A1"), f"{spec.name} endpoints on opposite teams"),
+                    (("H1", "H1"), f"{spec.name} endpoints must be distinct")],
+        None: [],
+    }[spec.pair]
+    for ids, reason in wrong:
+        v = validate_game(_game([_sample(spec, sport, ids)], sport=sport))
+        assert [(x.event_index, x.reason) for x in v] == [(0, reason)]
+    if spec.pair is None:  # no side constraint either way
+        for ids in (("H1", "H2"), ("H1", "A1"), ("H1", "H1")):
+            assert validate_game(_game([_sample(spec, sport, ids)], sport=sport)) == []
+
+
 # --- generator ----------------------------------------------------------
 
 def test_generator_deterministic():
@@ -164,6 +213,18 @@ def test_generator_weights_steer_mix():
     with pytest.raises(ValueError):
         generate_random_game(Sport.BASKETBALL, 6, 10, seed=2,
                              weights={"icing": 1.0})  # hockey-only type
+
+
+def test_generator_rejects_an_empty_event_pool():
+    for sport in Sport:
+        zero = {spec.name: 0 for spec in SPORT_EVENTS[sport].values()}
+        with pytest.raises(ValueError, match=sport.value):
+            generate_random_game(sport, 6, 10, seed=0, weights=zero)
+        assert generate_random_game(sport, 6, 0, seed=0, weights=zero).events == ()
+        only_passes = dict(zero, **{"pass": 1})  # and passes need two teammates
+        with pytest.raises(ValueError, match=sport.value):
+            generate_random_game(sport, 2, 10, seed=0, weights=only_passes)
+        assert len(generate_random_game(sport, 4, 10, seed=0, weights=only_passes).events) == 10
 
 
 @settings(max_examples=60, deadline=None)

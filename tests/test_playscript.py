@@ -93,6 +93,13 @@ def test_score_out_of_range():
     assert (err.line, err.column) == (3, 6)
 
 
+@pytest.mark.parametrize("token", ["G:\u00b2", "G:\u0663", "G:x", "G:", "G:0", "G:-1"])
+def test_score_needs_ascii_points_1_to_4(token):
+    err = _err(HEADER + f"A -> {token}\n")
+    assert err.kind == "unknown-token"
+    assert (err.line, err.column) == (3, 6)
+
+
 def test_score_must_follow_a_player():
     err = _err(HEADER + "G -> A\n")
     assert err.kind == "unknown-token"
@@ -128,7 +135,7 @@ def test_three_team_headers_rejected():
 def test_duplicate_and_reserved_player_ids():
     err = _err("#team Reds A A\n#team Blues D E\n")
     assert err.kind == "malformed-header"
-    for bad in ("G", "0", "G:2"):
+    for bad in ("G", "0", "G:2", "G:x", "G:"):
         err = _err(f"#team Reds A {bad}\n#team Blues D E\n")
         assert err.kind == "malformed-header"
 
@@ -147,6 +154,9 @@ def test_unknown_directive():
 def test_undeclared_starter():
     err = _err(HEADER + "#starters A Q\n")
     assert err.kind == "undeclared-player"
+    assert (err.line, err.column) == (3, 1)
+    err = _err(HEADER + "A -> B\n  #starters B\n #starters A Q\n")
+    assert (err.line, err.column) == (5, 2)
 
 
 def test_parse_failure_returns_no_partial_log():
