@@ -1,8 +1,8 @@
 """playrank command line: rank, matrix, validate, batch, compare, synth.
 
 Exit codes: 0 success, 1 validation failure, 2 parse/read failure,
-3 numerical failure, 64 usage error.  Results go to stdout (or --output),
-diagnostics to stderr.
+3 numerical failure, 64 usage error, 70 internal error.  Results go to
+stdout (or --output), diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE: a bug, not a fault of the input
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,24 +47,23 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, ValidationFailed):
-        return EXIT_VALIDATION
-    if isinstance(exc, (PlayscriptError, SchemaError, OSError)):
-        return EXIT_PARSE
-    if isinstance(exc, (RankingError, DegenerateGoalRankError)):
-        return EXIT_NUMERIC
-    raise exc
-
-
-def _report_exception(path: Path | None, exc: Exception) -> None:
+def _report_exception(path: Path | None, exc: Exception) -> int:
+    """Print ``exc`` to stderr and return its exit code."""
     # read failures (OSError) already name their file
     prefix = f"{path}: " if path is not None and not isinstance(exc, OSError) else ""
     if isinstance(exc, ValidationFailed):
         for v in exc.violations:
             _err(f"{prefix}{v}")
+        return EXIT_VALIDATION
+    if isinstance(exc, (PlayscriptError, SchemaError, OSError)):
+        code = EXIT_PARSE
+    elif isinstance(exc, (RankingError, DegenerateGoalRankError)):
+        code = EXIT_NUMERIC
     else:
-        _err(f"{prefix}{exc}")
+        _err(f"{prefix}internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
+    _err(f"{prefix}{exc}")
+    return code
 
 
 def _load_log(path: Path, input_format: str) -> GameLog:
@@ -153,8 +153,7 @@ def _cmd_batch(args) -> int:
         try:
             analysis = _analyze_file(path, args)
         except Exception as exc:  # isolate per-file failures
-            worst = max(worst, _exit_code_for(exc))
-            _report_exception(path, exc)
+            worst = max(worst, _report_exception(path, exc))
             continue
         report_path = out_dir / f"{stem}.report.{_REPORT_EXT[args.format]}"
         _atomic_write(report_path, render_report(
@@ -218,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     solver_opts.add_argument("--solver", choices=SOLVERS, default="power")
     solver_opts.add_argument("--tol", type=float, default=POWER_TOL,
                              help="power-iteration L1 step tolerance")
-    solver_opts.add_argument("--max-iters", type=int, default=POWER_MAX_ITERS)
+    solver_opts.add_argument("--max-iters", type=int, default=POWER_MAX_ITERS,
+                             help="power iterations before the direct solve takes over")
 
     p = sub.add_parser("rank", parents=[io_opts, solver_opts],
                        help="rank one game's players by IPM")
@@ -288,9 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        code = _exit_code_for(exc)  # re-raises anything unexpected
-        _report_exception(None, exc)
-        return code
+        return _report_exception(None, exc)
 
 
 if __name__ == "__main__":

@@ -443,7 +443,9 @@ def validate_game(log: GameLog) -> list[Violation]:
         if spec.ints:
             for f, (lo, hi) in spec.ints.items():
                 value = getattr(ev, f)
-                if f not in carried[spec.cls]:
+                if type(value) is not int:  # API-built events skip the parsers' checks
+                    out.append(Violation(i, f"{name} needs {f} to be an integer, got {value!r}"))
+                elif f not in carried[spec.cls]:
                     if value != 1:
                         out.append(Violation(
                             i, f"{sport} {name}s are always worth 1, got {f}={value}"))

@@ -9,9 +9,9 @@ from .metrics import IpmReport, TeamAggregates, aggregates, compute_ipm
 from .model import GameLog, Violation, validate_game
 from .playscript import parse_playscript
 from .ranking import (
-    POWER_MAX_ITERS, POWER_TOL, PlayDigraph, RankVector, RankingError,
-    TransitionMatrix, apply_events, check_primitive, init_digraph,
-    stationary_direct, stationary_power, to_transition,
+    POWER_MAX_ITERS, POWER_TOL, NonConvergenceError, PlayDigraph, RankVector,
+    RankingError, TransitionMatrix, apply_events, check_primitive,
+    init_digraph, stationary_direct, stationary_power, to_transition,
 )
 
 SOLVERS = ("power", "direct", "both")
@@ -58,20 +58,27 @@ def solve_stationary(
     tol: float = POWER_TOL,
     max_iters: int = POWER_MAX_ITERS,
 ) -> tuple[RankVector, float | None]:
-    """Run the requested solver(s); "both" cross-checks and reports the gap."""
-    if solver == "power":
-        return stationary_power(t, tol, max_iters), None
+    """Run the requested solver(s); "both" cross-checks and reports the gap.
+
+    A chain that power iteration does not settle within ``max_iters`` (a
+    near-periodic one) gets the direct solve's vector and no gap instead.
+    """
     if solver == "direct":
         return stationary_direct(t), None
-    if solver == "both":
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r} (use one of {SOLVERS})")
+    try:
         power = stationary_power(t, tol, max_iters)
-        direct = stationary_direct(t)
-        gap = float(abs(power.values - direct.values).max())
-        if gap > SOLVER_AGREEMENT_TOL:
-            raise SolverDisagreement(
-                f"solvers disagree by {gap:.3e} (> {SOLVER_AGREEMENT_TOL})")
-        return power, gap
-    raise ValueError(f"unknown solver {solver!r} (use one of {SOLVERS})")
+    except NonConvergenceError:
+        return stationary_direct(t), None
+    if solver == "power":
+        return power, None
+    direct = stationary_direct(t)
+    gap = float(abs(power.values - direct.values).max())
+    if gap > SOLVER_AGREEMENT_TOL:
+        raise SolverDisagreement(
+            f"solvers disagree by {gap:.3e} (> {SOLVER_AGREEMENT_TOL})")
+    return power, gap
 
 
 def analyze_game(
@@ -90,9 +97,7 @@ def analyze_game(
         raise ValidationFailed(violations)
     digraph = build_digraph(log)
     transition = to_transition(digraph)
-    primitivity = check_primitive(transition)
-    if not primitivity.is_primitive:
-        raise RankingError("transition matrix is not primitive")
+    check_primitive(transition)  # raises CorruptedGraphError without the goal hub
     rank, gap = solve_stationary(transition, solver, tol, max_iters)
     report = compute_ipm(rank, log.teams)
     return GameAnalysis(

@@ -33,7 +33,7 @@ from .model import GameLog, Roster
 from .rules import GOAL, NodeRef, fold_arcs
 
 POWER_TOL = 1e-12
-POWER_MAX_ITERS = 1_000_000
+POWER_MAX_ITERS = 1_000
 
 
 class RankingError(Exception):
@@ -41,7 +41,7 @@ class RankingError(Exception):
 
 
 class CorruptedGraphError(RankingError):
-    """A digraph row has no outgoing arcs; initialization was bypassed."""
+    """The graph lacks what init_digraph guarantees (out-arcs, the goal hub)."""
 
 
 class NonConvergenceError(RankingError):
@@ -123,8 +123,8 @@ class RankVector:
 
 
 class PrimitivityCheck(NamedTuple):
-    is_primitive: bool
-    witness: int | None  # smallest m with T^m entrywise positive
+    is_primitive: bool  # always True: a matrix without a hub raises instead
+    witness: int  # smallest m with T^m entrywise positive
 
 
 def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
@@ -163,30 +163,20 @@ def to_transition(g: PlayDigraph) -> TransitionMatrix:
     return TransitionMatrix(g.nodes, g.counts, row_sums)
 
 
-def wielandt_bound(size: int) -> int:
-    """Exponent bound for primitivity of a ``size`` x ``size`` matrix."""
-    return size * size - 2 * size + 2
-
-
 def check_primitive(t: TransitionMatrix) -> PrimitivityCheck:
-    """Test whether some power of T is entrywise positive.
+    """Certify that some power of T is entrywise positive, in O(k^2).
 
-    Reports the smallest all-positive exponent.  A hub -- a node whose row
-    and column are both all-positive, as the goal node is in every game
-    graph -- certifies it in O(k^2): every i -> hub -> j walk has length 2,
-    so the witness is 1 when T itself is positive and 2 otherwise.  Without
-    a hub, walks the boolean pattern through successive powers up to the
-    Wielandt bound.
+    A hub -- a node whose row and column are both all-positive, as the goal
+    node is in every graph from ``init_digraph`` -- joins any i and j by the
+    walk i -> hub -> j, so the smallest all-positive exponent is 1 when T
+    itself is positive and 2 otherwise.  A matrix without a hub did not come
+    from ``init_digraph``: CorruptedGraphError.
     """
     pattern = t.counts > 0
-    if (pattern.all(axis=0) & pattern.all(axis=1)).any():
-        return PrimitivityCheck(True, 1 if pattern.all() else 2)
-    power = pattern.copy()
-    for m in range(1, wielandt_bound(t.size) + 1):
-        if power.all():
-            return PrimitivityCheck(True, m)
-        power = (power.astype(np.int64) @ pattern.astype(np.int64)) > 0
-    return PrimitivityCheck(False, None)
+    if not (pattern.all(axis=0) & pattern.all(axis=1)).any():
+        raise CorruptedGraphError(
+            "no node has an all-positive row and column; graph was not initialized")
+    return PrimitivityCheck(True, 1 if pattern.all() else 2)
 
 
 def stationary_power(

@@ -1,8 +1,19 @@
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from playrank import cli
 from playrank.cli import main
+from playrank.gamelog_json import SchemaError
+from playrank.pipeline import parse_game_text
+from playrank.playscript import PlayscriptError
+from playrank.ranking import SingularSystemError
 
 from golden import DEMO_ADJACENCY
 
@@ -331,13 +342,112 @@ def test_bad_solver_options_exit_64(capsys, demo_playscript_path):
     assert code == 64 and "--max-iters" in err
 
 
-def test_nonconvergence_exits_3(capsys, demo_playscript_path):
-    code, _, err = run(capsys, "rank", str(demo_playscript_path),
-                       "--max-iters", "1")
+def test_exhausted_max_iters_falls_back_to_direct(capsys, demo_playscript_path):
+    code, out, err = run(capsys, "rank", str(demo_playscript_path),
+                         "--max-iters", "1")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "rank", str(demo_playscript_path), "--solver", "direct")[1]
+
+
+def test_singular_direct_solve_exits_3(capsys, monkeypatch, demo_playscript_path):
+    def singular(t):
+        raise SingularSystemError("direct solve failed: Singular matrix")
+
+    monkeypatch.setattr("playrank.pipeline.stationary_direct", singular)
+    code, _, err = run(capsys, "rank", str(demo_playscript_path), "--solver", "direct")
     assert code == 3
-    assert "power iteration" in err
+    assert "direct solve failed" in err
+
+
+@pytest.fixture()
+def crash_on_boom(monkeypatch):
+    """analyze_game raises RuntimeError for logs with a player named 'boom'."""
+    real = cli.analyze_game
+
+    def analyze(log, **kwargs):
+        if any(p.id == "boom" for team in log.teams for p in team.players):
+            raise RuntimeError("simulated bug")
+        return real(log, **kwargs)
+
+    monkeypatch.setattr("playrank.cli.analyze_game", analyze)
+
+
+def test_internal_error_exits_70(capsys, tmp_path, crash_on_boom, demo_playscript_path):
+    buggy = tmp_path / "buggy.play"
+    buggy.write_text("#team X boom b\n#team Y c d\nboom -> b -> G\n", encoding="utf-8")
+    code, out, err = run(capsys, "rank", str(buggy))
+    assert code == 70 and out == ""
+    assert err == "internal error: RuntimeError: simulated bug\n"
+
+    out_dir = tmp_path / "reports"
+    code, _, err = run(capsys, "batch", str(buggy), str(demo_playscript_path),
+                       "--output-dir", str(out_dir))
+    assert code == 70
+    assert err == f"{buggy}: internal error: RuntimeError: simulated bug\n"
+    summary = (out_dir / "summary.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == ["three_on_three"]
 
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "rank", "--help")[0] == 0
+
+
+# --- fuzz guard -------------------------------------------------------------
+
+_SAMPLES = Path(__file__).resolve().parent.parent / "sample_games"
+_DEMO_JSON = (_SAMPLES / "three_on_three.json").read_text(encoding="utf-8")
+_DEMO_PLAY = (_SAMPLES / "three_on_three.play").read_text(encoding="utf-8")
+# Replacement JSON values and playscript tokens that reach past the parsers'
+# first checks (G:² once crashed the playscript parser).
+_JSON_VALUES = [None, True, 0, -1, 4, 10**20, float("inf"), "", "A", "D", "Z",
+                "pass", "score", "hockey", [], {}]
+_PLAY_TOKENS = ["A", "D", "Z", "0", "->", "G", "G:3", "G:9", "G:²", "#team",
+                "#starters", "#!", ""]
+# An explicit alphabet keeps st.text cheap: the default one made this test
+# take 3 s instead of 0.9 s on a checkout without a .hypothesis directory.
+_CHARS = "AZaz09:#->{}[]\",.\t\x00 é²٣\u2028\ufeff"
+
+
+@st.composite
+def mutated_json(draw):
+    """The demo JSON with 1-3 values, at random depths, replaced or deleted."""
+    doc = json.loads(_DEMO_JSON)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = node[key]
+        if parent is None:
+            continue
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(st.sampled_from(_JSON_VALUES))
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_playscript(draw):
+    """The demo playscript with 1-4 whitespace-separated tokens replaced."""
+    tokens = re.split(r"(\s+)", _DEMO_PLAY)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = 2 * draw(st.integers(min_value=0, max_value=len(tokens) // 2))
+        tokens[i] = draw(st.sampled_from(_PLAY_TOKENS) | st.text(_CHARS, max_size=4))
+    return "".join(tokens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_json() | mutated_playscript())
+def test_mutated_inputs_fail_only_with_documented_errors(tmp_path_factory, text):
+    try:
+        parse_game_text(text)
+    except (SchemaError, PlayscriptError):
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzzed_game"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["rank", str(path)])
+    assert code in (0, 1, 2, 3)

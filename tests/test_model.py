@@ -8,7 +8,7 @@ from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
     EVENT_SPECS, OPPONENTS, SPORT_EVENTS, TEAMMATES, ContestedMiss, Event,
     FoulWithFreeThrows, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
-    UncontestedMissRebounded, validate_game,
+    UncontestedMissRebounded, Violation, validate_game,
 )
 from playrank.synth import generate_random_game
 
@@ -90,6 +90,19 @@ def test_free_throw_count_must_be_positive():
 def test_free_throw_count_range(made, ok):
     v = validate_game(_game([FoulWithFreeThrows("H1", "A1", made)]))
     assert (v == []) is ok
+
+
+@pytest.mark.parametrize("event, reason", [
+    (Score("H1", "2"), "score needs points to be an integer, got '2'"),
+    (Score("H1", True), "score needs points to be an integer, got True"),
+    (FoulWithFreeThrows("H1", "A1", "2"),
+     "foul_with_free_throws needs made to be an integer, got '2'"),
+    (FoulWithFreeThrows("H1", "A1", 2.0),
+     "foul_with_free_throws needs made to be an integer, got 2.0"),
+])
+def test_non_int_integer_field_is_a_violation(event, reason):
+    # Events built through the Python API never pass the parsers' type checks.
+    assert validate_game(_game([event])) == [Violation(0, reason)]
 
 
 def test_roster_level_violations():

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from playrank.model import GameLog, Roster, RosterPlayer, Score, Sport
-from playrank.pipeline import build_digraph
+from playrank.model import GameLog, Pass, Roster, RosterPlayer, Score, Sport
+from playrank.pipeline import analyze_game, build_digraph, solve_stationary
 from playrank.ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, TransitionMatrix,
     apply_events, check_primitive, init_digraph, stationary_direct,
-    stationary_power, to_transition, wielandt_bound,
+    stationary_power, to_transition,
 )
 from playrank.rules import GOAL
 from playrank.synth import generate_random_game
 
-from golden import DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_STATIONARY, build_demo_log
+from golden import (
+    DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_IPM_EXACT, DEMO_STATIONARY,
+    build_demo_log,
+)
 
 
 def _rosters(n1, n2, prefix=("H", "A")):
@@ -102,10 +105,6 @@ def test_row_sums_exactly_one_and_monotone(log):
 
 # --- primitivity -----------------------------------------------------------
 
-def test_wielandt_bound():
-    assert wielandt_bound(7) == 37
-
-
 def test_initialized_graphs_are_primitive_with_witness_two():
     t = to_transition(init_digraph(_rosters(5, 4)))
     assert check_primitive(t) == (True, 2)
@@ -118,9 +117,8 @@ def test_demo_graph_witness_two():
 
 def test_identity_pattern_is_not_primitive():
     g = PlayDigraph(("p", "q", GOAL), np.eye(3, dtype=np.int64))
-    result = check_primitive(to_transition(g))
-    assert result.is_primitive is False
-    assert result.witness is None
+    with pytest.raises(CorruptedGraphError):
+        check_primitive(to_transition(g))
 
 
 def _pattern_matrix(counts):
@@ -129,23 +127,31 @@ def _pattern_matrix(counts):
     return TransitionMatrix(nodes, counts, counts.sum(axis=1))
 
 
-def _smallest_witness(counts):
-    """Brute force: the first m <= Wielandt bound with the m-th boolean power
-    of the pattern all true."""
+def _has_hub(counts):
     pattern = np.asarray(counts) > 0
-    for m in range(1, wielandt_bound(len(pattern)) + 1):
+    return bool((pattern.all(axis=0) & pattern.all(axis=1)).any())
+
+
+def _smallest_witness(counts):
+    """Brute force: the first m <= (k-1)^2 + 1 (Wielandt's bound for k x k
+    matrices) with the m-th boolean power of the pattern all true."""
+    pattern = np.asarray(counts) > 0
+    k = len(pattern)
+    for m in range(1, (k - 1) ** 2 + 2):
         if np.linalg.matrix_power(pattern, m).all():
             return True, m
     return False, None
 
 
 @st.composite
-def count_matrices(draw):
-    k = draw(st.integers(min_value=1, max_value=6))
+def count_matrices(draw, max_k=6, hub=None):
+    k = draw(st.integers(min_value=1, max_value=max_k))
     counts = np.array(draw(st.lists(
         st.lists(st.integers(min_value=0, max_value=2), min_size=k, max_size=k),
         min_size=k, max_size=k)), dtype=np.int64)
-    if draw(st.booleans()):  # plant a hub: its whole row and column positive
+    if hub is None:
+        hub = draw(st.booleans())
+    if hub:  # plant a hub: its whole row and column positive
         h = draw(st.integers(min_value=0, max_value=k - 1))
         counts[h, :] = np.maximum(counts[h, :], 1)
         counts[:, h] = np.maximum(counts[:, h], 1)
@@ -155,7 +161,11 @@ def count_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(counts=count_matrices())
 def test_check_primitive_matches_brute_force_witness(counts):
-    assert check_primitive(_pattern_matrix(counts)) == _smallest_witness(counts)
+    if _has_hub(counts):
+        assert check_primitive(_pattern_matrix(counts)) == _smallest_witness(counts)
+    else:  # not a graph init_digraph can build, primitive or not
+        with pytest.raises(CorruptedGraphError):
+            check_primitive(_pattern_matrix(counts))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 7])
@@ -165,10 +175,10 @@ def test_hubless_cycle_with_chord_needs_the_wielandt_walk(k):
     counts = np.zeros((k, k), dtype=np.int64)
     counts[np.arange(k), (np.arange(k) + 1) % k] = 1
     counts[k - 1, 1] = 1
-    pattern = counts > 0
-    assert not (pattern.all(axis=0) & pattern.all(axis=1)).any()
-    assert check_primitive(_pattern_matrix(counts)) == (True, (k - 1) ** 2 + 1)
-    assert _smallest_witness(counts) == (True, wielandt_bound(k))
+    assert not _has_hub(counts)
+    with pytest.raises(CorruptedGraphError):
+        check_primitive(_pattern_matrix(counts))
+    assert _smallest_witness(counts) == (True, (k - 1) ** 2 + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,7 +252,9 @@ def test_power_rejects_bad_arguments():
 @given(log=games)
 def test_power_and_direct_agree(log):
     t = to_transition(build_digraph(log))
-    vp = stationary_power(t)
+    # The oracles' agreement, not the production budget: a two-player game
+    # with 100+ events can need over 1,000 iterations (|lambda_2| ~ 0.975).
+    vp = stationary_power(t, max_iters=1_000_000)
     vd = stationary_direct(t)
     assert np.abs(vp.values - vd.values).max() <= 1e-9
     assert vp.residual <= 1e-10
@@ -272,3 +284,87 @@ def test_rank_is_permutation_equivariant(log, seed):
     perm = stationary_direct(to_transition(build_digraph(permuted_log)))
     for node, rank in zip(perm.nodes[:-1], perm.player_ranks):
         assert abs(by_id[node] - rank) <= 1e-9
+
+
+# --- exact oracle and the direct fallback ----------------------------------
+
+def _gth_stationary(counts):
+    """Exact stationary vector of the chain with arc counts ``counts``.
+
+    GTH state reduction (Grassmann, Taksar & Heyman 1985): censor the chain
+    onto states 0..n-1 for n = k-1 down to 1, then back-substitute.  It
+    never subtracts, and here it runs on Fractions, so the result is exact
+    and shares no arithmetic with either production solver.
+    """
+    k = len(counts)
+    a = [[Fraction(int(c), int(sum(row))) for c in row] for row in counts]
+    for n in range(k - 1, 0, -1):
+        out = sum(a[n][:n])  # probability of leaving n for a lower state
+        for i in range(n):
+            a[i][n] /= out
+        for i in range(n):
+            for j in range(n):
+                a[i][j] += a[i][n] * a[n][j]
+    pi = [Fraction(1)]
+    for j in range(1, k):
+        pi.append(sum(pi[i] * a[i][j] for i in range(j)))
+    total = sum(pi)
+    return [p / total for p in pi]
+
+
+def _exact_ipms(counts, players):
+    """IPM_i = 50 n pi_i / (1 - pi_goal), the goal node last."""
+    pi = _gth_stationary(counts)
+    return {p: 50 * len(players) * pi[i] / (1 - pi[-1]) for i, p in enumerate(players)}
+
+
+def test_gth_reproduces_the_demo_exactly():
+    assert _gth_stationary(DEMO_ADJACENCY) == DEMO_STATIONARY
+    ipms = _exact_ipms(DEMO_ADJACENCY, "ABCDEF")
+    assert ipms == DEMO_IPM_EXACT
+    assert ipms["B"] == Fraction(1762600, 33639)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=count_matrices(max_k=8, hub=True))
+def test_solvers_match_the_gth_oracle(counts):
+    exact = np.array([float(x) for x in _gth_stationary(counts)])
+    t = _pattern_matrix(counts)
+    # The power stop rule bounds the last step, not the error: at the default
+    # 1e-12 step the error on these chains reaches about 1.1e-12.  A hub
+    # entry of at least 1/16 per row makes the step contract by 15/16, so a
+    # 1e-14 step leaves at most 1.5e-13.
+    assert np.abs(stationary_power(t, tol=1e-14).values - exact).max() <= 1e-12
+    assert np.abs(stationary_direct(t).values - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("solver", ["power", "both"])
+def test_exhausted_power_budget_falls_back_to_direct(solver):
+    t = to_transition(build_digraph(build_demo_log()))
+    rank, gap = solve_stationary(t, solver, max_iters=1)
+    assert rank.method == "direct" and gap is None
+    assert np.array_equal(rank.values, stationary_direct(t).values)
+
+
+def test_near_periodic_game_is_solved_directly():
+    # A 3-v-1 game whose passes nearly make a0 <-> a1 a two-cycle: |lambda_2|
+    # is close to 1 and power iteration needs tens of thousands of steps.
+    players = ("a0", "a1", "a2", "b0")
+    rosters = (Roster("A", tuple(RosterPlayer(p) for p in players[:3])),
+               Roster("B", (RosterPlayer("b0"),)))
+    passes = {("a0", "a1"): 2000, ("a1", "a0"): 2000, ("a2", "a0"): 700, ("a0", "a2"): 300}
+    log = GameLog(Sport.BASKETBALL, rosters, tuple(
+        Pass(src, dst) for (src, dst), times in passes.items() for _ in range(times)))
+    counts = np.zeros((5, 5), dtype=np.int64)  # init_digraph by hand
+    counts[:4, 4] = 1
+    counts[4, :] = 1
+    for (passer, receiver), times in passes.items():  # receiver -> passer arcs
+        counts[players.index(receiver), players.index(passer)] += times
+
+    with pytest.raises(NonConvergenceError):
+        stationary_power(to_transition(build_digraph(log)))
+    analysis = analyze_game(log)
+    assert analysis.rank.method == "direct"
+    exact = _exact_ipms(counts, players)
+    for p in analysis.report.players:
+        assert abs(p.ipm - float(exact[p.player])) <= 1e-9
