@@ -8,7 +8,6 @@ stdout (or --output), diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -136,6 +135,8 @@ _REPORT_EXT = {"table": "txt", "csv": "csv", "json": "json"}
 
 
 def _cmd_batch(args) -> int:
+    import csv  # only batch writes CSV here; render imports it for reports
+
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = io.StringIO()
@@ -163,17 +164,9 @@ def _cmd_batch(args) -> int:
         teams = analysis.teams.teams
         winner = next((t for t in teams if t.label == "winner"), None)
         loser = next((t for t in teams if t.label == "loser"), None)
-
-        def _fmt(value):
-            return "" if value is None else f"{value:.2f}"
-
-        writer.writerow([
-            stem,
-            _fmt(winner.aipm if winner else None),
-            _fmt(loser.aipm if loser else None),
-            _fmt(winner.starter_aipm if winner else None),
-            _fmt(loser.starter_aipm if loser else None),
-        ])
+        writer.writerow([stem] + [
+            "" if t is None or getattr(t, f) is None else f"{getattr(t, f):.2f}"
+            for f in ("aipm", "starter_aipm") for t in (winner, loser)])
     _atomic_write(out_dir / "summary.csv", summary.getvalue())
     return worst
 
@@ -268,22 +261,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    if args.command == "compare" and len(args.games) < 2:
-        _err("playrank compare: error: need at least two games")
-        return EXIT_USAGE
-    if args.command == "synth":
-        if args.players < 2:
-            _err("playrank synth: error: --players must be >= 2")
+    for bad, message in (
+        (args.command == "compare" and len(args.games) < 2, "need at least two games"),
+        (args.command == "synth" and args.players < 2, "--players must be >= 2"),
+        (args.command == "synth" and args.events < 0, "--events must be >= 0"),
+        (getattr(args, "tol", 1.0) <= 0, "--tol must be positive"),
+        (getattr(args, "max_iters", 1) < 1, "--max-iters must be >= 1"),
+    ):
+        if bad:
+            _err(f"{parser.prog} {args.command}: error: {message}")
             return EXIT_USAGE
-        if args.events < 0:
-            _err("playrank synth: error: --events must be >= 0")
-            return EXIT_USAGE
-    if getattr(args, "tol", 1.0) <= 0:
-        _err(f"{parser.prog} {args.command}: error: --tol must be positive")
-        return EXIT_USAGE
-    if getattr(args, "max_iters", 1) < 1:
-        _err(f"{parser.prog} {args.command}: error: --max-iters must be >= 1")
-        return EXIT_USAGE
 
     try:
         return args.func(args)

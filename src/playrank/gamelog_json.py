@@ -22,24 +22,25 @@ fine but illegal log still parses and then reports violations.
 from __future__ import annotations
 
 import json
+from operator import eq, itemgetter
 from typing import Any
 
 from .model import (
-    EVENT_SPECS, SPEC_BY_CLASS, Event, GameLog, GameMetadata, Roster,
-    RosterPlayer, Sport,
+    EVENT_SPECS, NO_ROLE, SPEC_BY_CLASS, Event, EventArrays, GameLog,
+    GameMetadata, Roster, RosterPlayer, Sport, column_fields, read_columns,
 )
 
 SCHEMA_VERSION = "1"
 
-# Per sport: wire name -> (class, player fields, integer fields, allowed keys).
-_WIRE: dict[Sport, dict[str, tuple]] = {
-    sport: {
-        spec.name: (spec.cls, spec.roles, spec.wire_ints(sport),
-                    frozenset(("type", *spec.roles, *spec.wire_ints(sport))))
-        for spec in EVENT_SPECS
-    }
+# Wire name -> kind (row of EVENT_SPECS), and per sport and kind the exact
+# key set of its objects.
+_KINDS: dict[str, int] = {spec.name: k for k, spec in enumerate(EVENT_SPECS)}
+_KEYS: dict[Sport, tuple[frozenset, ...]] = {
+    sport: tuple(frozenset(("type", *spec.roles, *spec.wire_ints(sport))) for spec in EVENT_SPECS)
     for sport in Sport
 }
+_SIZES = {sport: tuple(map(len, keys)) for sport, keys in _KEYS.items()}
+_FIELDS = {sport: column_fields(sport) for sport in Sport}
 
 
 class SchemaError(Exception):
@@ -57,27 +58,13 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, f"expected a string, got {type(value).__name__}")
-    return value
+_EXPECTED = {str: "a string", int: "an integer", dict: "an object", list: "an array"}
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _as_obj(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected an array, got {type(value).__name__}")
+def _as(kind: type, value: Any, path: str) -> Any:
+    """``value`` when it is a JSON ``kind`` (str, int, dict or list)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(path, f"expected {_EXPECTED[kind]}, got {type(value).__name__}")
     return value
 
 
@@ -86,29 +73,48 @@ def _reject_unknown(obj: dict, allowed: set[str] | frozenset[str], path: str) ->
         raise SchemaError(f"{path}.{sorted(set(obj) - allowed)[0]}", "unknown field")
 
 
-def _parse_event(obj: Any, kinds: dict, path: str) -> Event:
-    obj = _as_obj(obj, path)
-    name = _as_str(_require(obj, "type", path), f"{path}.type")
-    kind = kinds.get(name)
-    if kind is None:
+def _check_event(obj: Any, sport: Sport, path: str) -> None:
+    """Raise the first schema problem of one event object, if it has one."""
+    obj = _as(dict, obj, path)
+    name = _as(str, _require(obj, "type", path), f"{path}.type")
+    if name not in _KINDS:
         raise SchemaError(f"{path}.type", f"unknown event type '{name}'")
-    cls, players, ints, allowed = kind
-    _reject_unknown(obj, allowed, path)
-    kwargs: dict[str, Any] = {}
-    for f in players:
-        kwargs[f] = _as_str(_require(obj, f, path), f"{path}.{f}")
-    for f in ints:
-        kwargs[f] = _as_int(_require(obj, f, path), f"{path}.{f}")
-    return cls(**kwargs)
+    _reject_unknown(obj, _KEYS[sport][_KINDS[name]], path)
+    spec = EVENT_SPECS[_KINDS[name]]
+    for f in spec.roles:
+        _as(str, _require(obj, f, path), f"{path}.{f}")
+    for f in spec.wire_ints(sport):
+        _as(int, _require(obj, f, path), f"{path}.{f}")
+
+
+def _parse_events(events: list, sport: Sport) -> EventArrays:
+    """Schema-check the event objects as columns and pack them.
+
+    Every check runs over a whole column at C speed; when one fails, the
+    first failing event is found and its SchemaError raised.
+    """
+    try:
+        kinds = list(map(_KINDS.__getitem__, map(itemgetter("type"), events)))
+        # as many keys as the type has fields, and none of them missing
+        exact = all(map(eq, map(len, events), map(_SIZES[sport].__getitem__, kinds)))
+        first, second, ints = read_columns(dict.get, events, kinds, _FIELDS[sport])
+        roles = set(map(type, first)) | set(map(type, second))
+        if exact and roles <= {str, type(NO_ROLE)} and set(map(type, ints)) <= {int}:
+            return EventArrays.from_columns(kinds, first, second, ints)
+    except (LookupError, TypeError):
+        pass
+    for i, obj in enumerate(events):
+        _check_event(obj, sport, f"$.events[{i}]")
+    raise AssertionError("the column checks failed on a schema-clean event list")
 
 
 def _parse_player(obj: Any, path: str) -> RosterPlayer:
-    obj = _as_obj(obj, path)
+    obj = _as(dict, obj, path)
     _reject_unknown(obj, {"id", "name", "starter"}, path)
-    pid = _as_str(_require(obj, "id", path), f"{path}.id")
+    pid = _as(str, _require(obj, "id", path), f"{path}.id")
     if not pid:
         raise SchemaError(f"{path}.id", "player id must be nonempty")
-    name = _as_str(obj["name"], f"{path}.name") if "name" in obj else pid
+    name = _as(str, obj["name"], f"{path}.name") if "name" in obj else pid
     starter = obj.get("starter", False)
     if not isinstance(starter, bool):
         raise SchemaError(f"{path}.starter", "expected a boolean")
@@ -116,10 +122,10 @@ def _parse_player(obj: Any, path: str) -> RosterPlayer:
 
 
 def _parse_team(obj: Any, path: str) -> Roster:
-    obj = _as_obj(obj, path)
+    obj = _as(dict, obj, path)
     _reject_unknown(obj, {"name", "players"}, path)
-    name = _as_str(_require(obj, "name", path), f"{path}.name")
-    players = _as_list(_require(obj, "players", path), f"{path}.players")
+    name = _as(str, _require(obj, "name", path), f"{path}.name")
+    players = _as(list, _require(obj, "players", path), f"{path}.players")
     if not players:
         raise SchemaError(f"{path}.players", "a team needs at least one player")
     return Roster(name, tuple(
@@ -139,40 +145,31 @@ def parse_gamelog(text: str) -> GameLog:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError("$", "invalid JSON: nested too deeply") from None
-    doc = _as_obj(doc, "$")
+    doc = _as(dict, doc, "$")
     _reject_unknown(doc, {"schema_version", "sport", "teams", "metadata", "events"}, "$")
 
-    version = _as_str(_require(doc, "schema_version", "$"), "$.schema_version")
+    version = _as(str, _require(doc, "schema_version", "$"), "$.schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError("$.schema_version",
                           f"unsupported version '{version}' (expected '{SCHEMA_VERSION}')")
-    sport_name = _as_str(_require(doc, "sport", "$"), "$.sport")
+    sport_name = _as(str, _require(doc, "sport", "$"), "$.sport")
     try:
         sport = Sport(sport_name)
     except ValueError:
         raise SchemaError("$.sport", f"unknown sport '{sport_name}'") from None
 
-    teams = _as_list(_require(doc, "teams", "$"), "$.teams")
+    teams = _as(list, _require(doc, "teams", "$"), "$.teams")
     if len(teams) != 2:
         raise SchemaError("$.teams", f"expected exactly 2 teams, got {len(teams)}")
     rosters = tuple(_parse_team(t, f"$.teams[{i}]") for i, t in enumerate(teams))
 
-    metadata = GameMetadata()
-    if "metadata" in doc:
-        mobj = _as_obj(doc["metadata"], "$.metadata")
-        _reject_unknown(mobj, {"date", "final_score"}, "$.metadata")
-        metadata = GameMetadata(
-            date=_as_str(mobj["date"], "$.metadata.date") if "date" in mobj else None,
-            final_score=(_as_str(mobj["final_score"], "$.metadata.final_score")
-                         if "final_score" in mobj else None),
-        )
+    mobj = _as(dict, doc.get("metadata", {}), "$.metadata")
+    _reject_unknown(mobj, {"date", "final_score"}, "$.metadata")
+    metadata = GameMetadata(**{k: _as(str, mobj[k], f"$.metadata.{k}")
+                               for k in ("date", "final_score") if k in mobj})
 
-    events = _as_list(_require(doc, "events", "$"), "$.events")
-    kinds = _WIRE[sport]
-    parsed = tuple(
-        _parse_event(e, kinds, f"$.events[{i}]") for i, e in enumerate(events)
-    )
-    return GameLog(sport, (rosters[0], rosters[1]), parsed, metadata)
+    events = _as(list, _require(doc, "events", "$"), "$.events")
+    return GameLog(sport, rosters, None, metadata, _parse_events(events, sport))
 
 
 def _event_to_obj(ev: Event, sport: Sport) -> dict:
@@ -193,22 +190,10 @@ def render_gamelog(log: GameLog) -> str:
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "sport": log.sport.value,
-        "teams": [
-            {
-                "name": t.name,
-                "players": [
-                    {"id": p.id, "name": p.name, "starter": p.starter}
-                    for p in t.players
-                ],
-            }
-            for t in log.teams
-        ],
+        "teams": [{"name": t.name, "players": [p._asdict() for p in t.players]}
+                  for t in log.teams],
     }
-    meta = {}
-    if log.metadata.date is not None:
-        meta["date"] = log.metadata.date
-    if log.metadata.final_score is not None:
-        meta["final_score"] = log.metadata.final_score
+    meta = {k: v for k, v in log.metadata._asdict().items() if v is not None}
     if meta:
         doc["metadata"] = meta
     doc["events"] = [_event_to_obj(e, log.sport) for e in log.events]

@@ -25,8 +25,7 @@ checks:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .model import GameMetadata, Roster
 from .ranking import RankVector
@@ -38,8 +37,7 @@ class DegenerateGoalRankError(Exception):
     """Goal rank is 1 to machine precision; no player rank mass to rescale."""
 
 
-@dataclass(frozen=True)
-class PlayerIpm:
+class PlayerIpm(NamedTuple):
     player: str
     name: str
     team: str
@@ -48,8 +46,7 @@ class PlayerIpm:
     ipm: float
 
 
-@dataclass(frozen=True)
-class IpmReport:
+class IpmReport(NamedTuple):
     """Per-player IPMs for one game.
 
     ``players`` keeps roster order (team 1 then team 2); ``standings`` is
@@ -66,8 +63,7 @@ class IpmReport:
     standings: tuple[PlayerIpm, ...]
 
 
-@dataclass(frozen=True)
-class TeamAggregate:
+class TeamAggregate(NamedTuple):
     team: str
     size: int
     aipm: float
@@ -75,13 +71,11 @@ class TeamAggregate:
     label: str | None           # "winner" / "loser" when metadata settles it
 
 
-@dataclass(frozen=True)
-class TeamAggregates:
+class TeamAggregates(NamedTuple):
     teams: tuple[TeamAggregate, TeamAggregate]
 
 
-@dataclass(frozen=True)
-class PropositionCheck:
+class PropositionCheck(NamedTuple):
     applicable: bool
     bound: float | None = None
     observed: float | None = None
@@ -94,21 +88,18 @@ class PropositionCheck:
         return self.margin >= -1e-9
 
 
-@dataclass(frozen=True)
-class BoundsCheck:
+class BoundsCheck(NamedTuple):
     starter_gap: PropositionCheck   # needs 1 <= k <= n-1 designated starters
     pairwise_gap: PropositionCheck  # needs n >= 3
 
 
-@dataclass(frozen=True)
-class CrossGameRow:
+class CrossGameRow(NamedTuple):
     player: str
     ipms: dict[str, float | None]  # game id -> IPM, None where absent
     mean: float
 
 
-@dataclass(frozen=True)
-class CrossGameTable:
+class CrossGameTable(NamedTuple):
     game_ids: tuple[str, ...]
     rows: tuple[CrossGameRow, ...]
 
@@ -123,25 +114,16 @@ def compute_ipm(rank: RankVector, rosters: tuple[Roster, Roster]) -> IpmReport:
     player_ranks = rank.player_ranks
     n = len(player_ranks)
     total = float(player_ranks.sum())  # equals 1 - goal_rank
-
-    players: list[PlayerIpm] = []
-    pos = 0
-    for roster in rosters:
-        for p in roster.players:
-            r = float(player_ranks[pos])
-            players.append(PlayerIpm(
-                player=p.id, name=p.name, team=roster.name, starter=p.starter,
-                rank=r, ipm=50.0 * n * r / total,
-            ))
-            pos += 1
-    if pos != n:
-        raise ValueError(f"rank vector has {n} player entries, rosters have {pos}")
-
+    members = [(roster.name, p) for roster in rosters for p in roster.players]
+    if len(members) != n:
+        raise ValueError(f"rank vector has {n} player entries, rosters have {len(members)}")
+    players = tuple(
+        PlayerIpm(p.id, p.name, team, p.starter, r, ipm) for (team, p), r, ipm
+        in zip(members, player_ranks.tolist(), (50.0 * n * player_ranks / total).tolist()))
     order = sorted(range(n), key=lambda i: (-players[i].ipm, i))
-    standings = tuple(players[i] for i in order)
     return IpmReport(
         n=n, goal_rank=goal_rank, residual=rank.residual, method=rank.method,
-        players=tuple(players), standings=standings,
+        players=players, standings=tuple(players[i] for i in order),
     )
 
 
@@ -166,27 +148,16 @@ def _winner_index(metadata: GameMetadata | None) -> int | None:
 def aggregates(report: IpmReport, metadata: GameMetadata | None = None) -> TeamAggregates:
     """Per-team average IPMs (all players and designated starters)."""
     winner = _winner_index(metadata)
-    by_team: dict[str, list[PlayerIpm]] = {}
-    team_names: list[str] = []
-    for p in report.players:
-        if p.team not in by_team:
-            by_team[p.team] = []
-            team_names.append(p.team)
-        by_team[p.team].append(p)
-
     teams = []
-    for t, name in enumerate(team_names):
-        rows = by_team[name]
-        starters = [p.ipm for p in rows if p.starter]
-        label = None
-        if winner is not None:
-            label = "winner" if winner == t else "loser"
+    for t, name in enumerate(dict.fromkeys(p.team for p in report.players)):
+        ipms = [p.ipm for p in report.players if p.team == name]
+        starters = [p.ipm for p in report.players if p.team == name and p.starter]
         teams.append(TeamAggregate(
             team=name,
-            size=len(rows),
-            aipm=sum(p.ipm for p in rows) / len(rows),
+            size=len(ipms),
+            aipm=sum(ipms) / len(ipms),
             starter_aipm=sum(starters) / len(starters) if starters else None,
-            label=label,
+            label=None if winner is None else "winner" if winner == t else "loser",
         ))
     return TeamAggregates(teams=(teams[0], teams[1]))
 

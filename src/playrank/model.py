@@ -9,14 +9,18 @@ in one pass.
 
 EVENT_SPECS holds one row per event type with everything the pipeline knows
 about it: wire name, player roles, pair rule, integer bounds, and per sport
-its arc and synthesizer weight.
+its arc and synthesizer weight.  A log keeps its events as EventArrays, one
+column per fact, which validation and the digraph read without building an
+object per event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Union
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence, Union
+
+import numpy as np
 
 
 class Sport(str, Enum):
@@ -25,170 +29,66 @@ class Sport(str, Enum):
     HOCKEY = "hockey"
 
 
-# ---------------------------------------------------------------------------
-# Events
-# ---------------------------------------------------------------------------
+class _RecordType(type):
+    """Makes each annotated field of a Record class a slot; a value given
+    in the class body becomes that field's default.  A class declared with
+    ``by_identity=True`` keeps a ``__dict__`` (for cached properties) and
+    is compared and hashed by identity instead."""
 
-@dataclass(frozen=True)
-class Pass:
-    """Completed pass between teammates."""
-
-    passer: str
-    receiver: str
-
-
-@dataclass(frozen=True)
-class Dispossess:
-    """Defender strips possession (steal, tackle, deflection out of play)."""
-
-    winner: str
-    loser: str
+    def __new__(mcls, name, bases, ns, by_identity=False):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns.setdefault("_fields", fields)
+        if by_identity:
+            ns.update(__eq__=object.__eq__, __hash__=object.__hash__)
+        else:
+            ns.setdefault("__slots__", fields)
+        return super().__new__(mcls, name, bases, ns)
 
 
-@dataclass(frozen=True)
-class Intercept:
-    """Defender picks off a pass; credited like a dispossession."""
+class Record(metaclass=_RecordType):
+    """Immutable record: positional or keyword construction, the
+    ``Name(field=value, ...)`` repr, and == and hash over the fields that
+    only ever match a record of the same class."""
 
-    winner: str
-    passer: str
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bind keywords and defaults by name
+            values = {**self._defaults, **kwargs, **dict(zip(fields, args))}
+            if (len(args) > len(fields) or values.keys() != set(fields)
+                    or kwargs.keys() & set(fields[:len(args)])):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}, "
+                                f"got {args} and {kwargs}")
+            args = [values[f] for f in fields]
+        for f, value in zip(fields, args):
+            object.__setattr__(self, f, value)
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
 
-@dataclass(frozen=True)
-class Touch:
-    """Incidental contact with the ball/puck without possession."""
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
 
-    player: str
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
 
-@dataclass(frozen=True)
-class UnforcedTurnover:
-    """Possession lost with no defender earning it; play goes dead."""
+    def __hash__(self) -> int:
+        return hash(self._values())
 
-    player: str
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
 
+    __delattr__ = __setattr__
 
-@dataclass(frozen=True)
-class Stoppage:
-    """Dead-ball interruption unrelated to play (injury, interference...)."""
+    def __reduce__(self):
+        return type(self), self._values()
 
-
-@dataclass(frozen=True)
-class ContestedMiss:
-    """Missed shot taken under pressure from a defender (includes blocks)."""
-
-    shooter: str
-    defender: str
-
-
-@dataclass(frozen=True)
-class Score:
-    """Goal or made basket.  Basketball carries the point value (1..4);
-    soccer and hockey goals always count once and keep points == 1."""
-
-    scorer: str
-    points: int = 1
-
-
-@dataclass(frozen=True)
-class UncontestedMissRebounded:
-    """Basketball: open miss whose rebound is collected by any player.
-
-    The rebounder may be on either team (or be the shooter); the credit
-    flows to whoever resumed play regardless of side.
-    """
-
-    shooter: str
-    rebounder: str
-
-
-@dataclass(frozen=True)
-class FoulWithFreeThrows:
-    """Basketball: foul where the fouled player makes ``made`` free throws (1..3)."""
-
-    fouler: str
-    fouled: str
-    made: int
-
-
-@dataclass(frozen=True)
-class FoulNoFreeThrows:
-    """Basketball: foul conceding no points; credited to the fouler."""
-
-    fouler: str
-    fouled: str
-
-
-@dataclass(frozen=True)
-class UncontestedMissDead:
-    """Soccer/hockey: unpressured miss; play is dead, nobody credited."""
-
-    shooter: str
-
-
-@dataclass(frozen=True)
-class Save:
-    """Soccer/hockey: shot stopped by the opposing goalkeeper."""
-
-    shooter: str
-    keeper: str
-
-
-@dataclass(frozen=True)
-class FoulDead:
-    """Soccer: foul that leads to nothing; play is dead."""
-
-    fouler: str
-    fouled: str
-
-
-@dataclass(frozen=True)
-class FoulLeadingToGoal:
-    """Soccer: foul conceding a penalty or free-kick goal; fouled player credited."""
-
-    fouler: str
-    fouled: str
-
-
-@dataclass(frozen=True)
-class Offside:
-    """Pass to a teammate caught offside.  Which side is credited differs
-    by sport (see the arc rules)."""
-
-    passer: str
-    offside_player: str
-
-
-@dataclass(frozen=True)
-class PenaltyDrawnNoPPG:
-    """Hockey: penalty drawn but killed off; the penalized player is credited."""
-
-    drawer: str
-    penalized: str
-
-
-@dataclass(frozen=True)
-class PenaltyDrawnPPG:
-    """Hockey: penalty drawn and converted on the power play; drawer credited."""
-
-    drawer: str
-    penalized: str
-
-
-@dataclass(frozen=True)
-class Icing:
-    """Hockey: icing touched up by player on the other team; treated as a
-    turnover by the icer."""
-
-    icer: str
-    toucher: str
-
-
-Event = Union[
-    Pass, Dispossess, Intercept, Touch, UnforcedTurnover, Stoppage,
-    ContestedMiss, Score, UncontestedMissRebounded, FoulWithFreeThrows,
-    FoulNoFreeThrows, UncontestedMissDead, Save, FoulDead, FoulLeadingToGoal,
-    Offside, PenaltyDrawnNoPPG, PenaltyDrawnPPG, Icing,
-]
 
 # ---------------------------------------------------------------------------
 # The event table
@@ -223,13 +123,14 @@ ArcTemplate = tuple[Union[str, _Goal], str, Union[str, int]]
 class EventSpec(NamedTuple):
     """Everything the pipeline knows about one event type.
 
-    ``roles`` are the fields holding player ids, in wire order; ``pair``
-    (TEAMMATES, OPPONENTS or None) constrains the first two.  ``ints`` maps
-    each integer field to its inclusive bounds.  ``sports`` has an entry for
-    every sport where the event is legal: the arc the event adds there
-    (None for a dead ball) and the synthesizer's default weight.  An integer
-    field that a sport's arc does not weight by is fixed at 1 in that sport
-    and left off the wire: soccer and hockey goals always count once.
+    ``cls`` is the event class: a Record with a str field per role, then an
+    int field per integer field.  ``roles`` are the fields holding player
+    ids, in wire order; ``pair`` (TEAMMATES, OPPONENTS or None) constrains
+    the first two.  ``ints`` maps each integer field to its inclusive
+    bounds.  ``sports`` has, per sport where the event is legal, the arc it
+    adds there (None for a dead ball) and the synthesizer's default weight.
+    An integer field that a sport's arc does not weight by is fixed at 1
+    there and left off the wire: soccer and hockey goals always count once.
     """
 
     cls: type
@@ -245,6 +146,14 @@ class EventSpec(NamedTuple):
         return tuple(f for f in self.ints if arc is None or arc[2] == f)
 
 
+def _row(cls_name: str, doc: str, name: str, roles: tuple[str, ...], pair: str | None,
+         ints: dict[str, tuple[int, int]], sports: dict, **defaults) -> EventSpec:
+    fields = {**dict.fromkeys(roles, str), **dict.fromkeys(ints, int)}
+    cls = _RecordType(cls_name, (Record,), {
+        "__doc__": doc, "__module__": __name__, "__annotations__": fields, **defaults})
+    return EventSpec(cls, name, roles, pair, ints, sports)
+
+
 _B, _S, _H = Sport.BASKETBALL, Sport.SOCCER, Sport.HOCKEY
 
 
@@ -258,45 +167,69 @@ def _everywhere(arc: ArcTemplate | None, b: float, s: float, h: float):
 # in basketball).  Offside is credited to the offside player in soccer and to
 # the passer in hockey; both are kept exactly as specified for their sport.
 EVENT_SPECS: tuple[EventSpec, ...] = (
-    EventSpec(Pass, "pass", ("passer", "receiver"), TEAMMATES, {},
-              _everywhere(("receiver", "passer", 1), 50, 55, 50)),
-    EventSpec(Dispossess, "dispossess", ("winner", "loser"), OPPONENTS, {},
-              _everywhere(("loser", "winner", 1), 6, 8, 7)),
-    EventSpec(Intercept, "intercept", ("winner", "passer"), OPPONENTS, {},
-              _everywhere(("passer", "winner", 1), 5, 6, 6)),
-    EventSpec(Touch, "touch", ("player",), None, {}, _everywhere(None, 3, 4, 3)),
-    EventSpec(UnforcedTurnover, "unforced_turnover", ("player",), None, {},
-              _everywhere(None, 4, 4, 4)),
-    EventSpec(Stoppage, "stoppage", (), None, {}, _everywhere(None, 3, 2, 3)),
-    EventSpec(ContestedMiss, "contested_miss", ("shooter", "defender"), OPPONENTS, {},
-              _everywhere(("shooter", "defender", 1), 8, 4, 6)),
-    EventSpec(Score, "score", ("scorer",), None, {"points": (1, 4)}, {
-        _B: ((GOAL, "scorer", "points"), 10),
-        _S: ((GOAL, "scorer", 1), 2),
-        _H: ((GOAL, "scorer", 1), 3)}),
-    EventSpec(UncontestedMissRebounded, "uncontested_miss_rebounded",
-              ("shooter", "rebounder"), None, {}, {_B: (("shooter", "rebounder", 1), 6)}),
-    EventSpec(FoulWithFreeThrows, "foul_with_free_throws", ("fouler", "fouled"), OPPONENTS,
-              {"made": (1, 3)}, {_B: ((GOAL, "fouled", "made"), 3)}),
-    EventSpec(FoulNoFreeThrows, "foul_no_free_throws", ("fouler", "fouled"), OPPONENTS, {},
-              {_B: (("fouled", "fouler", 1), 2)}),  # smart foul
-    EventSpec(UncontestedMissDead, "uncontested_miss_dead", ("shooter",), None, {},
-              {_S: (None, 3), _H: (None, 3)}),
-    EventSpec(Save, "save", ("shooter", "keeper"), OPPONENTS, {},
-              {_S: (("shooter", "keeper", 1), 4), _H: (("shooter", "keeper", 1), 8)}),
-    EventSpec(FoulDead, "foul_dead", ("fouler", "fouled"), OPPONENTS, {}, {_S: (None, 5)}),
-    EventSpec(FoulLeadingToGoal, "foul_leading_to_goal", ("fouler", "fouled"), OPPONENTS, {},
-              {_S: (("fouler", "fouled", 1), 1)}),  # smart draw
-    EventSpec(Offside, "offside", ("passer", "offside_player"), None, {}, {
-        _S: (("passer", "offside_player", 1), 2),
-        _H: (("offside_player", "passer", 1), 2)}),
-    EventSpec(PenaltyDrawnNoPPG, "penalty_drawn_no_ppg", ("drawer", "penalized"), OPPONENTS,
-              {}, {_H: (("drawer", "penalized", 1), 2)}),  # smart penalty
-    EventSpec(PenaltyDrawnPPG, "penalty_drawn_ppg", ("drawer", "penalized"), OPPONENTS, {},
-              {_H: (("penalized", "drawer", 1), 1)}),  # smart draw
-    EventSpec(Icing, "icing", ("icer", "toucher"), None, {},
-              {_H: (("icer", "toucher", 1), 2)}),  # a turnover to the toucher
+    _row("Pass", "Completed pass between teammates.",
+         "pass", ("passer", "receiver"), TEAMMATES, {},
+         _everywhere(("receiver", "passer", 1), 50, 55, 50)),
+    _row("Dispossess", "Defender strips possession (steal, tackle, deflection out of play).",
+         "dispossess", ("winner", "loser"), OPPONENTS, {},
+         _everywhere(("loser", "winner", 1), 6, 8, 7)),
+    _row("Intercept", "Defender picks off a pass; credited like a dispossession.",
+         "intercept", ("winner", "passer"), OPPONENTS, {},
+         _everywhere(("passer", "winner", 1), 5, 6, 6)),
+    _row("Touch", "Incidental contact with the ball/puck without possession.",
+         "touch", ("player",), None, {}, _everywhere(None, 3, 4, 3)),
+    _row("UnforcedTurnover", "Possession lost with no defender earning it; play goes dead.",
+         "unforced_turnover", ("player",), None, {}, _everywhere(None, 4, 4, 4)),
+    _row("Stoppage", "Dead-ball interruption unrelated to play (injury, interference...).",
+         "stoppage", (), None, {}, _everywhere(None, 3, 2, 3)),
+    _row("ContestedMiss", "Missed shot taken under pressure from a defender (includes blocks).",
+         "contested_miss", ("shooter", "defender"), OPPONENTS, {},
+         _everywhere(("shooter", "defender", 1), 8, 4, 6)),
+    _row("Score", "Goal or made basket; only basketball's carries points (1..4), else 1.",
+         "score", ("scorer",), None, {"points": (1, 4)}, {
+             _B: ((GOAL, "scorer", "points"), 10),
+             _S: ((GOAL, "scorer", 1), 2),
+             _H: ((GOAL, "scorer", 1), 3)}, points=1),
+    _row("UncontestedMissRebounded", "Basketball: open miss; either team's rebounder is credited.",
+         "uncontested_miss_rebounded", ("shooter", "rebounder"), None, {},
+         {_B: (("shooter", "rebounder", 1), 6)}),
+    _row("FoulWithFreeThrows", "Basketball: foul; the fouled player makes ``made`` (1..3) shots.",
+         "foul_with_free_throws", ("fouler", "fouled"), OPPONENTS, {"made": (1, 3)},
+         {_B: ((GOAL, "fouled", "made"), 3)}),
+    _row("FoulNoFreeThrows", "Basketball: foul conceding no points; credited to the fouler.",
+         "foul_no_free_throws", ("fouler", "fouled"), OPPONENTS, {},
+         {_B: (("fouled", "fouler", 1), 2)}),  # smart foul
+    _row("UncontestedMissDead", "Soccer/hockey: unpressured miss; play is dead, nobody credited.",
+         "uncontested_miss_dead", ("shooter",), None, {}, {_S: (None, 3), _H: (None, 3)}),
+    _row("Save", "Soccer/hockey: shot stopped by the opposing goalkeeper.",
+         "save", ("shooter", "keeper"), OPPONENTS, {},
+         {_S: (("shooter", "keeper", 1), 4), _H: (("shooter", "keeper", 1), 8)}),
+    _row("FoulDead", "Soccer: foul that leads to nothing; play is dead.",
+         "foul_dead", ("fouler", "fouled"), OPPONENTS, {}, {_S: (None, 5)}),
+    _row("FoulLeadingToGoal", "Soccer: foul conceding a penalty or free-kick goal.",
+         "foul_leading_to_goal", ("fouler", "fouled"), OPPONENTS, {},
+         {_S: (("fouler", "fouled", 1), 1)}),  # smart draw
+    _row("Offside", "Pass to a teammate caught offside; the credited side differs by sport.",
+         "offside", ("passer", "offside_player"), None, {}, {
+             _S: (("passer", "offside_player", 1), 2),
+             _H: (("offside_player", "passer", 1), 2)}),
+    _row("PenaltyDrawnNoPPG", "Hockey: penalty drawn but killed off.",
+         "penalty_drawn_no_ppg", ("drawer", "penalized"), OPPONENTS, {},
+         {_H: (("drawer", "penalized", 1), 2)}),  # smart penalty
+    _row("PenaltyDrawnPPG", "Hockey: penalty drawn and converted on the power play.",
+         "penalty_drawn_ppg", ("drawer", "penalized"), OPPONENTS, {},
+         {_H: (("penalized", "drawer", 1), 1)}),  # smart draw
+    _row("Icing", "Hockey: icing touched up by a player of the other team.",
+         "icing", ("icer", "toucher"), None, {},
+         {_H: (("icer", "toucher", 1), 2)}),  # a turnover to the toucher
 )
+
+# The event classes, one per row.
+(Pass, Dispossess, Intercept, Touch, UnforcedTurnover, Stoppage, ContestedMiss, Score,
+ UncontestedMissRebounded, FoulWithFreeThrows, FoulNoFreeThrows, UncontestedMissDead, Save,
+ FoulDead, FoulLeadingToGoal, Offside, PenaltyDrawnNoPPG, PenaltyDrawnPPG,
+ Icing) = (spec.cls for spec in EVENT_SPECS)
+Event = Union[tuple(spec.cls for spec in EVENT_SPECS)]
 
 SPEC_BY_CLASS: dict[type, EventSpec] = {spec.cls: spec for spec in EVENT_SPECS}
 
@@ -308,64 +241,177 @@ SPORT_EVENTS: dict[Sport, dict[type, EventSpec]] = {
 
 
 # ---------------------------------------------------------------------------
+# Event columns
+# ---------------------------------------------------------------------------
+
+# An event's kind is its row in EVENT_SPECS; an object with no row (only an
+# API-built log can hold one) is UNKNOWN_KIND.
+KIND_OF: dict[type, int] = {spec.cls: k for k, spec in enumerate(EVENT_SPECS)}
+UNKNOWN_KIND = len(EVENT_SPECS)
+
+NO_ROLE = object()  # a role column's entry for an event without that role
+
+
+def column_fields(sport: Sport | None = None) -> tuple:
+    """Per column (first role, second role, integer field): the field each
+    kind keeps it in ("" for none), and what to read from an item without
+    that field: None where the kind has the field (so it is missing), else
+    NO_ROLE or 1.  Given a sport, an integer field it leaves off the wire
+    counts as none."""
+    def column(pick, absent):
+        names = tuple(pick(s) for s in EVENT_SPECS) + ("",)
+        return names, tuple(None if f else absent for f in names)
+
+    return (column(lambda s: s.roles[0] if s.roles else "", NO_ROLE),
+            column(lambda s: s.roles[1] if len(s.roles) > 1 else "", NO_ROLE),
+            column(lambda s: next(iter(s.wire_ints(sport) if sport else s.ints), ""), 1))
+
+
+EVENT_FIELDS = column_fields()
+INT_FIELD = EVENT_FIELDS[2][0]
+
+
+def read_columns(get, items, kinds: list[int], columns: tuple = EVENT_FIELDS) -> tuple:
+    """The role and integer columns of ``items``, each field read by
+    ``get(item, field, default)`` (getattr, or dict.get)."""
+    return tuple(list(map(get, items, map(names.__getitem__, kinds),
+                          map(absent.__getitem__, kinds))) for names, absent in columns)
+
+
+def _int64_column(values: Sequence) -> tuple[np.ndarray, dict]:
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64), {}
+        except OverflowError:
+            pass
+    odd = {i: v for i, v in enumerate(values)
+           if type(v) is not int or not -2**63 <= v < 2**63}
+    return np.array([0 if i in odd else v for i, v in enumerate(values)], dtype=np.int64), odd
+
+
+class EventArrays(NamedTuple):
+    """A game's events as columns; row i is event i.
+
+    ``kind`` is the event's row in EVENT_SPECS; ``a`` and ``b`` index
+    ``ids`` for its first and second role, -1 where it has no such role;
+    ``weight`` is its integer field (points or made), 1 for a type without
+    one.  An integer field that is no int64 (another type or out of range:
+    only the Python API or a huge JSON number makes one) is kept in ``odd``
+    by row, with weight 0.
+    """
+
+    kind: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    weight: np.ndarray
+    ids: tuple
+    odd: dict
+
+    @classmethod
+    def from_columns(cls, kinds: Sequence[int], first: Sequence, second: Sequence,
+                     ints: Sequence) -> EventArrays:
+        """Pack per-event columns, interning the ids of the role columns
+        (NO_ROLE where an event has no such role)."""
+        order = dict.fromkeys(chain(first, second))
+        order.pop(NO_ROLE, None)
+        index = dict(zip(order, range(len(order))))
+        index[NO_ROLE] = -1
+        n = len(kinds)
+        a, b = (np.fromiter(map(index.__getitem__, col), np.intp, n) for col in (first, second))
+        weight, odd = _int64_column(ints)
+        return cls(np.array(kinds, dtype=np.intp), a, b, weight, tuple(order), odd)
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple]) -> EventArrays:
+        """Pack (kind, first role, second role, integer field) rows."""
+        return cls.from_columns(*(zip(*rows) if rows else ((),) * 4))
+
+    @classmethod
+    def from_events(cls, events: tuple) -> EventArrays:
+        kinds = list(map(KIND_OF.get, map(type, events), repeat(UNKNOWN_KIND)))
+        return cls.from_columns(kinds, *read_columns(getattr, events, kinds))
+
+    def to_events(self) -> tuple[Event, ...]:
+        ids = self.ids + (None,)
+        out = []
+        for i, (k, a, b, w) in enumerate(zip(self.kind.tolist(), self.a.tolist(),
+                                             self.b.tolist(), self.weight.tolist())):
+            spec = EVENT_SPECS[k]
+            args = (ids[a], ids[b])[:len(spec.roles)]
+            out.append(spec.cls(*args, self.odd.get(i, w)) if spec.ints else spec.cls(*args))
+        return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Rosters and game logs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RosterPlayer:
+class RosterPlayer(Record):
     id: str
     name: str = ""
     starter: bool = False
 
-    def __post_init__(self):
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
+    def __init__(self, id: str, name: str = "", starter: bool = False):
+        Record.__init__(self, id, name or id, starter)
 
 
-@dataclass(frozen=True)
-class Roster:
+class Roster(Record):
     """One team.  Player order is significant: it fixes matrix row/column
     order for the whole pipeline and must survive serialization."""
 
     name: str
     players: tuple[RosterPlayer, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "players", tuple(self.players))
+    def __init__(self, name: str, players):
+        Record.__init__(self, name, tuple(players))
 
     @property
     def player_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.players)
 
-    @property
-    def starter_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.players if p.starter)
 
-
-@dataclass(frozen=True)
-class GameMetadata:
+class GameMetadata(Record):
     date: str | None = None
     final_score: str | None = None
 
 
-@dataclass(frozen=True)
-class GameLog:
-    sport: Sport
-    teams: tuple[Roster, Roster]
-    events: tuple[Event, ...]
-    metadata: GameMetadata = field(default_factory=GameMetadata)
+_NO_METADATA = GameMetadata()
 
-    def __post_init__(self):
-        object.__setattr__(self, "teams", tuple(self.teams))
-        object.__setattr__(self, "events", tuple(self.events))
+
+class GameLog(Record):
+    """One game.  The events are held as EventArrays (``arrays``), and
+    ``events`` is the tuple of event objects.  A parsed log builds the
+    objects from its arrays on first use; a log built from event objects
+    builds its arrays from them on first use."""
+
+    __slots__ = ("sport", "teams", "metadata", "_events", "_arrays")
+    _fields = ("sport", "teams", "events", "metadata")
+
+    def __init__(self, sport: Sport, teams, events, metadata: GameMetadata = _NO_METADATA,
+                 arrays: EventArrays | None = None):
+        """``events`` may be None when ``arrays`` is given, as the parsers do."""
+        values = (sport, tuple(teams), metadata, None if events is None else tuple(events), arrays)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        if self._events is None:
+            object.__setattr__(self, "_events", self._arrays.to_events())
+        return self._events
+
+    @property
+    def arrays(self) -> EventArrays:
+        if self._arrays is None:
+            object.__setattr__(self, "_arrays", EventArrays.from_events(self._events))
+        return self._arrays
 
     @property
     def n_players(self) -> int:
         return len(self.teams[0].players) + len(self.teams[1].players)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One broken invariant.  event_index is None for roster-level problems."""
 
     event_index: int | None
@@ -376,21 +422,25 @@ class Violation:
         return f"{where}: {self.reason}"
 
 
-def _team_of(log: GameLog) -> dict[str, int]:
-    """Map player id -> team index (0/1).  First occurrence wins so event
-    checks stay usable even when rosters themselves are broken."""
-    team_of: dict[str, int] = {}
-    for t, roster in enumerate(log.teams):
-        for p in roster.players:
-            team_of.setdefault(p.id, t)
-    return team_of
+# Per kind: the pair rule (0 none, 1 teammates, 2 opponents); per sport and
+# kind: legality, and the inclusive bounds of the integer field (1..1 for a
+# type without one or whose field the sport fixes at 1).
+_PAIR = np.array([{None: 0, TEAMMATES: 1, OPPONENTS: 2}[s.pair] for s in EVENT_SPECS] + [0])
+LEGAL_KINDS = {sport: np.array([sport in s.sports for s in EVENT_SPECS] + [False])
+               for sport in Sport}
+_BOUNDS = {
+    sport: np.array([next((s.ints[f] for f in s.wire_ints(sport)), (1, 1))
+                     for s in EVENT_SPECS] + [(1, 1)]).T
+    for sport in Sport
+}
 
 
 def validate_game(log: GameLog) -> list[Violation]:
     """Check every roster and event invariant; return all violations.
 
     An empty list means the log is fit for graph construction.  Pure: the
-    same log always yields the same list, and nothing is mutated.
+    same log always yields the same list, and nothing is mutated.  Events
+    are checked as columns; messages are written for the failing rows only.
     """
     out: list[Violation] = []
 
@@ -409,47 +459,47 @@ def validate_game(log: GameLog) -> list[Violation]:
     if log.teams[0].name == log.teams[1].name:
         out.append(Violation(None, f"both teams are named '{log.teams[0].name}'"))
 
-    team_of = _team_of(log)
-    legal = SPORT_EVENTS[log.sport]
-    carried = {cls: spec.wire_ints(log.sport) for cls, spec in legal.items() if spec.ints}
-    sport = log.sport.value
-    for i, ev in enumerate(log.events):
-        spec = legal.get(type(ev))
-        if spec is None:
-            spec = SPEC_BY_CLASS.get(type(ev))
-            out.append(Violation(i, f"unknown event type {type(ev).__name__}" if spec is None
-                                 else f"{spec.name} is not a {sport} event"))
-            continue
-        name, roles, pair = spec.name, spec.roles, spec.pair
-        missing = False
-        for role in roles:
-            pid = getattr(ev, role)
-            if pid not in team_of:
-                out.append(Violation(i, f"{name} references unknown player '{pid}'"))
-                missing = True
-        if missing:
-            continue
+    arr = log.arrays
+    sport = log.sport
+    # player id -> team index; the first occurrence wins, so event checks
+    # stay usable even when the rosters themselves are broken
+    team_of = {p.id: t for t, roster in reversed(tuple(enumerate(log.teams)))
+               for p in reversed(roster.players)}
+    team = np.array([team_of.get(pid, -1) for pid in arr.ids] + [-2])  # -2: no such role
+    kind, a, b, weight = arr.kind, arr.a, arr.b, arr.weight
+    ta, tb = team[a], team[b]
+    illegal = ~LEGAL_KINDS[sport][kind]
+    unknown = (ta == -1) | (tb == -1)
+    checked = ~(illegal | unknown)
+    pair = _PAIR[kind]
+    wrong_sides = checked & (((pair == 2) & (ta == tb)) | ((pair == 1) & ((a == b) | (ta != tb))))
+    lo, hi = _BOUNDS[sport]
+    bad_int = checked & ((weight < lo[kind]) | (weight > hi[kind]))
 
-        if pair is not None:
-            a, b = getattr(ev, roles[0]), getattr(ev, roles[1])
-            if pair is OPPONENTS:
-                if team_of[a] == team_of[b]:
-                    out.append(Violation(i, f"{name} endpoints must be on opposite teams"))
-            elif a == b:
-                out.append(Violation(i, f"{name} endpoints must be distinct"))
-            elif team_of[a] != team_of[b]:
-                out.append(Violation(i, f"{name} endpoints on opposite teams"))
-
-        if spec.ints:
-            for f, (lo, hi) in spec.ints.items():
-                value = getattr(ev, f)
-                if type(value) is not int:  # API-built events skip the parsers' checks
-                    out.append(Violation(i, f"{name} needs {f} to be an integer, got {value!r}"))
-                elif f not in carried[spec.cls]:
-                    if value != 1:
-                        out.append(Violation(
-                            i, f"{sport} {name}s are always worth 1, got {f}={value}"))
-                elif not lo <= value <= hi:
-                    out.append(Violation(i, f"{name} needs {f} >= {lo} and <= {hi}, got {value}"))
+    names = arr.ids + (None,)
+    for i in np.flatnonzero(~checked | wrong_sides | bad_int).tolist():
+        if illegal[i]:
+            out.append(Violation(i, f"unknown event type {type(log.events[i]).__name__}"
+                                 if kind[i] == UNKNOWN_KIND
+                                 else f"{EVENT_SPECS[kind[i]].name} is not a {sport.value} event"))
+            continue
+        spec = EVENT_SPECS[kind[i]]
+        name = spec.name
+        if unknown[i]:
+            out += [Violation(i, f"{name} references unknown player '{names[col[i]]}'")
+                    for col, side in ((a, ta), (b, tb)) if side[i] == -1]
+            continue
+        if wrong_sides[i]:
+            out.append(Violation(i, f"{name} endpoints must be on opposite teams" if pair[i] == 2
+                                 else f"{name} endpoints must be distinct" if a[i] == b[i]
+                                 else f"{name} endpoints on opposite teams"))
+        if bad_int[i]:  # a non-int comes from an API-built event: the parsers check types
+            f, value = INT_FIELD[kind[i]], arr.odd.get(i, int(weight[i]))
+            out.append(Violation(i, f"{name} needs {f} to be an integer, got {value!r}"
+                                 if type(value) is not int
+                                 else f"{sport.value} {name}s are always worth 1, got {f}={value}"
+                                 if f not in spec.wire_ints(sport)
+                                 else f"{name} needs {f} >= {lo[kind[i]]} and <= {hi[kind[i]]}, "
+                                      f"got {value}"))
 
     return out

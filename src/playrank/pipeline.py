@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gamelog_json import parse_gamelog
 from .metrics import IpmReport, TeamAggregates, aggregates, compute_ipm
-from .model import GameLog, Violation, validate_game
+from .model import GameLog, Record, Violation, validate_game
 from .playscript import parse_playscript
 from .ranking import (
     POWER_MAX_ITERS, POWER_TOL, NonConvergenceError, PlayDigraph, RankVector,
@@ -30,8 +28,7 @@ class ValidationFailed(Exception):
         self.violations = violations
 
 
-@dataclass(frozen=True, eq=False)
-class GameAnalysis:
+class GameAnalysis(Record, by_identity=True):
     log: GameLog
     digraph: PlayDigraph
     transition: TransitionMatrix

@@ -20,10 +20,12 @@ JSON format.
 from __future__ import annotations
 
 from .model import (
-    Dispossess, Event, GameLog, Pass, Roster, RosterPlayer, Score, Sport,
-    UnforcedTurnover,
+    KIND_OF, NO_ROLE, Dispossess, EventArrays, GameLog, Pass, Roster,
+    RosterPlayer, Score, Sport, UnforcedTurnover,
 )
 
+_PASS, _STEAL, _LOST, _SCORE = (
+    KIND_OF[cls] for cls in (Pass, Dispossess, UnforcedTurnover, Score))
 _SEPARATOR = "->"
 MAX_POINTS = 4
 
@@ -66,7 +68,7 @@ def parse_playscript(text: str) -> GameLog:
     teams: list[Roster] = []
     starters: dict[str, tuple[int, int]] = {}  # id -> where #starters named it
     team_of: dict[str, int] = {}
-    events: list[Event] = []
+    events: list[tuple] = []  # (kind, first role, second role, points)
 
     lines = text.splitlines()
 
@@ -126,7 +128,7 @@ def parse_playscript(text: str) -> GameLog:
         for token, col in _split_tokens(raw):
             if token == "0":
                 if prev is not None:
-                    events.append(UnforcedTurnover(prev))
+                    events.append((_LOST, prev, NO_ROLE, 1))
                 prev = None
             elif token == "G" or token.startswith("G:"):
                 points = 1
@@ -141,14 +143,14 @@ def parse_playscript(text: str) -> GameLog:
                 if prev is None:
                     raise PlayscriptError("unknown-token", lineno, col,
                                           f"score token {token!r} must follow a player")
-                events.append(Score(prev, points))
+                events.append((_SCORE, prev, NO_ROLE, points))
                 prev = None
             elif token in team_of:
                 if prev is not None:
                     if team_of[prev] == team_of[token]:
-                        events.append(Pass(prev, token))
+                        events.append((_PASS, prev, token, 1))
                     else:
-                        events.append(Dispossess(winner=token, loser=prev))
+                        events.append((_STEAL, token, prev, 1))  # winner, loser
                 prev = token
             elif not token:
                 raise PlayscriptError("unknown-token", lineno, col, "empty token")
@@ -159,4 +161,4 @@ def parse_playscript(text: str) -> GameLog:
                 raise PlayscriptError("unknown-token", lineno, col,
                                       f"unrecognized token {token!r}")
 
-    return GameLog(Sport.BASKETBALL, (teams[0], teams[1]), tuple(events))
+    return GameLog(Sport.BASKETBALL, teams, None, arrays=EventArrays.from_rows(events))

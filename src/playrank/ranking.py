@@ -22,15 +22,14 @@ the internal row-stochastic matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import GameLog, Roster
-from .rules import GOAL, NodeRef, fold_arcs
+from .model import LEGAL_KINDS, GameLog, Record, Roster
+from .rules import ARC_COLUMNS, GOAL, NodeRef
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 1_000
@@ -52,8 +51,7 @@ class SingularSystemError(RankingError):
     """The direct linear system broke down (non-primitive or corrupt matrix)."""
 
 
-@dataclass(frozen=True, eq=False)
-class PlayDigraph:
+class PlayDigraph(Record, by_identity=True):
     """Directed multigraph as a dense nonnegative integer arc-count matrix.
 
     ``counts[i, j]`` is the number of arcs i -> j.  ``nodes`` fixes the
@@ -75,8 +73,7 @@ class PlayDigraph:
         return self._index[node]
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
+class TransitionMatrix(Record, by_identity=True):
     """Row-stochastic matrix of the chain induced by a PlayDigraph.
 
     ``rational`` rows sum to exactly 1; ``floats`` is the float64 projection
@@ -93,6 +90,8 @@ class TransitionMatrix:
 
     @cached_property
     def rational(self) -> tuple[tuple[Fraction, ...], ...]:
+        from fractions import Fraction  # imports decimal: only the exact dumps need it
+
         return tuple(
             tuple(Fraction(int(c), int(s)) for c in row)
             for row, s in zip(self.counts, self.row_sums)
@@ -103,8 +102,7 @@ class TransitionMatrix:
         return len(self.nodes)
 
 
-@dataclass(frozen=True, eq=False)
-class RankVector:
+class RankVector(Record, by_identity=True):
     """Stationary distribution: player ranks plus the goal node's rank."""
 
     nodes: tuple[NodeRef, ...]
@@ -140,15 +138,29 @@ def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
 
 
 def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
-    """Fold every event's arcs into a copy of ``g``.
+    """Add every event's arcs to a copy of ``g`` in one ``np.add.at``.
 
     Events only add arcs, so the result dominates ``g`` entrywise and the
-    final counts do not depend on event order.
+    final counts do not depend on event order.  Raises ValueError for an
+    event type that is not legal in the log's sport and KeyError for an
+    arc endpoint that is not a node (validated logs have neither).
     """
+    arr = log.arrays
+    illegal = np.flatnonzero(~LEGAL_KINDS[log.sport][arr.kind])
+    if len(illegal):
+        raise ValueError(f"event {illegal[0]} is not a {log.sport.value} event")
+    k, goal = len(g.nodes), g.index_of(GOAL)
+    # node of each id, and the goal for a missing role (index -1)
+    node = np.array([g._index.get(pid, -1) for pid in arr.ids] + [goal])
+    ends = np.stack((node[arr.a], node[arr.b], np.full(len(arr.kind), goal)))
+    src_col, dst_col, by_field, constant = ARC_COLUMNS[log.sport][:, arr.kind]
+    rows = np.arange(len(arr.kind))
+    src, dst = ends[src_col, rows], ends[dst_col, rows]
+    unknown = np.flatnonzero((src < 0) | (dst < 0))
+    if len(unknown):
+        raise KeyError(f"event {unknown[0]} has an arc endpoint that is not a node")
     counts = g.counts.copy()
-    idx = g._index
-    for (src, dst), k in fold_arcs(log.sport, log.events).items():
-        counts[idx[src], idx[dst]] += k
+    np.add.at(counts.reshape(-1), src * k + dst, np.where(by_field, arr.weight, constant))
     return PlayDigraph(g.nodes, counts)
 
 
@@ -188,7 +200,10 @@ def stationary_power(
 
     Iterates v <- T^t v, renormalizing to sum 1, until the L1 step change
     drops to ``tol``.  Raises NonConvergenceError instead of returning a
-    best-effort vector.
+    best-effort vector: after ``max_iters`` iterations, or earlier, once the
+    step's decay over the last half of the run (every 32 iterations) puts
+    ``tol`` beyond twice ``max_iters``.  The step never grows, since T is
+    stochastic, and it shrinks about geometrically.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -197,6 +212,7 @@ def stationary_power(
     tt = t.floats.T.copy()
     k = t.size
     v = np.full(k, 1.0 / k)
+    steps = []
     for it in range(1, max_iters + 1):
         nxt = tt @ v
         nxt /= nxt.sum()
@@ -205,6 +221,14 @@ def stationary_power(
         if step <= tol:
             residual = float(np.abs(tt @ v - v).max())
             return RankVector(t.nodes, v, residual, "power", it)
+        steps.append(step)
+        if it % 32 == 0:
+            rate = math.log(step / steps[it // 2 - 1]) / (it - it // 2)  # log decay per iteration
+            if rate >= 0 or it + math.log(tol / step) / rate > 2 * max_iters:
+                raise NonConvergenceError(
+                    f"power iteration would not reach tol={tol} in {max_iters} iterations "
+                    f"(step {step:.1e} after {it}, shrinking {1 - math.exp(rate):.1e} "
+                    f"per iteration)")
     raise NonConvergenceError(
         f"power iteration did not reach tol={tol} in {max_iters} iterations"
     )

@@ -9,7 +9,6 @@ the transpose of the row-stochastic one).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -22,18 +21,9 @@ MATRIX_FORMS = ("adjacency", "row-stochastic", "column-stochastic")
 
 
 def _team_lines(aggs: TeamAggregates) -> list[str]:
-    lines = []
-    for t in aggs.teams:
-        parts = [f"{t.team}: AIPM {t.aipm:.2f}"]
-        if t.starter_aipm is not None:
-            parts.append(f"starter AIPM {t.starter_aipm:.2f}")
-        else:
-            parts.append("starter AIPM n/a")
-        line = ", ".join(parts)
-        if t.label:
-            line += f" ({t.label})"
-        lines.append(line)
-    return lines
+    return [f"{t.team}: AIPM {t.aipm:.2f}, starter AIPM "
+            + ("n/a" if t.starter_aipm is None else f"{t.starter_aipm:.2f}")
+            + (f" ({t.label})" if t.label else "") for t in aggs.teams]
 
 
 def render_report(report: IpmReport, aggs: TeamAggregates | None,
@@ -49,6 +39,8 @@ def render_report(report: IpmReport, aggs: TeamAggregates | None,
         return "\n".join(lines) + "\n"
 
     if fmt == "csv":
+        import csv  # imported on first use, to keep start-up short
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["player", "team", "ipm", "ipm_full", "rank"])
@@ -57,36 +49,13 @@ def render_report(report: IpmReport, aggs: TeamAggregates | None,
         return buf.getvalue()
 
     if fmt == "json":
-        doc = {
-            "n": report.n,
-            "goal_rank": report.goal_rank,
-            "residual": report.residual,
-            "method": report.method,
-            "players": [
-                {
-                    "player": p.player,
-                    "name": p.name,
-                    "team": p.team,
-                    "starter": p.starter,
-                    "rank": p.rank,
-                    "ipm": p.ipm,
-                }
-                for p in report.standings
-            ],
-        }
+        # the report's fields, with its players in standings order
+        doc = {**report._asdict(), "players": [p._asdict() for p in report.standings]}
+        del doc["standings"]
         if solver_gap is not None:
             doc["solver_gap"] = solver_gap
         if aggs is not None:
-            doc["teams"] = [
-                {
-                    "team": t.team,
-                    "size": t.size,
-                    "aipm": t.aipm,
-                    "starter_aipm": t.starter_aipm,
-                    "label": t.label,
-                }
-                for t in aggs.teams
-            ]
+            doc["teams"] = [t._asdict() for t in aggs.teams]
         return json.dumps(doc, indent=2) + "\n"
 
     raise ValueError(f"unknown report format {fmt!r} (use one of {REPORT_FORMATS})")
@@ -126,6 +95,8 @@ def render_comparison(table: CrossGameTable, fmt: str = "table") -> str:
         lines += [" | ".join(cells(r)) for r in table.rows]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow([h.lower() for h in header])

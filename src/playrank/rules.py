@@ -2,14 +2,17 @@
 
 Each sport's rule for an event type is the arc template in its row of
 ``model.EVENT_SPECS``: ``(src role or GOAL, dst role, weight field or 1)``,
-or None for a dead ball, which adds nothing.
+or None for a dead ball, which adds nothing.  ``ARC_COLUMNS`` holds the same
+templates per kind for the columnar digraph build.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .model import GOAL, SPEC_BY_CLASS, SPORT_EVENTS, Event, NodeRef, Sport
+import numpy as np
+
+from .model import EVENT_SPECS, GOAL, SPEC_BY_CLASS, Event, NodeRef, Sport
 
 
 class Arc(NamedTuple):
@@ -20,33 +23,38 @@ class Arc(NamedTuple):
 
 ArcDelta = tuple[Arc, ...]
 
-def fold_arcs(sport: Sport, events: Iterable[Event]) -> dict[tuple[NodeRef, NodeRef], int]:
-    """Total arc count per (src, dst) pair that ``events`` add in ``sport``.
-
-    Raises ValueError for an event type that is not legal in ``sport``
-    (defensive; validated logs never hit this).
-    """
-    arcs = {cls: spec.sports[sport][0] for cls, spec in SPORT_EVENTS[sport].items()}
-    tally: dict[tuple[NodeRef, NodeRef], int] = {}
-    for ev in events:
-        try:
-            arc = arcs[type(ev)]
-        except KeyError:
-            spec = SPEC_BY_CLASS.get(type(ev))
-            name = type(ev).__name__ if spec is None else spec.name
-            raise ValueError(f"{name} is not a {sport.value} event") from None
-        if arc is None:
-            continue
-        src, dst, weight = arc
-        key = (src if src is GOAL else getattr(ev, src), getattr(ev, dst))
-        tally[key] = tally.get(key, 0) + (
-            getattr(ev, weight) if isinstance(weight, str) else weight)
-    return tally
-
 
 def arcs_for_event(sport: Sport, event: Event) -> ArcDelta:
     """Arcs the event adds to the digraph; empty tuple for dead-ball events.
 
     Raises ValueError for an event type that is not legal in ``sport``.
     """
-    return tuple(Arc(src, dst, k) for (src, dst), k in fold_arcs(sport, (event,)).items())
+    spec = SPEC_BY_CLASS.get(type(event))
+    if spec is None or sport not in spec.sports:
+        name = type(event).__name__ if spec is None else spec.name
+        raise ValueError(f"{name} is not a {sport.value} event")
+    arc = spec.sports[sport][0]
+    if arc is None:
+        return ()
+    src, dst, weight = arc
+    return (Arc(src if src is GOAL else getattr(event, src), getattr(event, dst),
+                getattr(event, weight) if isinstance(weight, str) else weight),)
+
+
+def _arc_columns(sport: Sport) -> np.ndarray:
+    """Rows src, dst, by_field, constant; a column per kind (EVENT_SPECS rows,
+    then the unknown kind).  src and dst are 0 (first role), 1 (second) or 2
+    (goal); the weight is the integer field where by_field, else constant."""
+    out = []
+    for spec in EVENT_SPECS:
+        arc = spec.sports.get(sport, (None,))[0]
+        if arc is None:
+            out.append((2, 2, 0, 0))
+        else:
+            src, dst, weight = arc
+            out.append((2 if src is GOAL else spec.roles.index(src), spec.roles.index(dst),
+                        *((1, 0) if isinstance(weight, str) else (0, weight))))
+    return np.array(out + [(2, 2, 0, 0)]).T
+
+
+ARC_COLUMNS: dict[Sport, np.ndarray] = {sport: _arc_columns(sport) for sport in Sport}

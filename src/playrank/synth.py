@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 from .model import (
-    OPPONENTS, SPORT_EVENTS, TEAMMATES, GameLog, Roster, RosterPlayer, Sport,
+    KIND_OF, NO_ROLE, OPPONENTS, SPORT_EVENTS, TEAMMATES, EventArrays, GameLog,
+    Roster, RosterPlayer, Sport,
 )
 
 _STARTERS_PER_TEAM = {Sport.BASKETBALL: 5, Sport.SOCCER: 11, Sport.HOCKEY: 6}
@@ -70,18 +71,22 @@ def generate_random_game(
     if n_events and not pool:
         raise ValueError(f"no {sport.value} event type has a positive weight "
                          f"that this roster can play")
-    kinds = rng.choices(pool, [table[spec.name] for spec in pool], k=n_events) if pool else []
+    # per kind, once per game: code, pair rule, role count, carried int bounds
+    draws = [(KIND_OF[spec.cls], spec.pair, len(spec.roles),
+              [spec.ints[f] for f in spec.wire_ints(sport)]) for spec in pool]
+    kinds = rng.choices(draws, [table[spec.name] for spec in pool], k=n_events) if pool else []
 
-    events = []
-    for spec in kinds:
-        if spec.pair is TEAMMATES:
+    rows = []
+    for kind, pair, n_roles, bounds in kinds:
+        if pair is TEAMMATES:
             ids = rng.sample(rng.choice(sides), 2)
-        elif spec.pair is OPPONENTS:
+        elif pair is OPPONENTS:
             a, b = teams if rng.random() < 0.5 else (teams[1], teams[0])
             ids = (rng.choice(a), rng.choice(b))
         else:
-            ids = rng.sample(everyone, len(spec.roles))
-        ints = {f: rng.randint(*spec.ints[f]) for f in spec.wire_ints(sport)}
-        events.append(spec.cls(*ids, **ints))
+            ids = rng.sample(everyone, n_roles)
+        first, second = (*ids, NO_ROLE, NO_ROLE)[:2]
+        ints = [rng.randint(lo, hi) for lo, hi in bounds]
+        rows.append((kind, first, second, ints[0] if ints else 1))
 
-    return GameLog(sport, (home, away), tuple(events))
+    return GameLog(sport, (home, away), None, arrays=EventArrays.from_rows(rows))

@@ -102,6 +102,19 @@ def test_type_errors():
     _expect_error(doc, "$.teams[0].players[0].id")
 
 
+def test_event_player_fields_must_be_strings():
+    for value, kind in ((5, "int"), (None, "NoneType"), (["x1"], "list"), (True, "bool")):
+        doc = _doc(events=[{"type": "pass", "passer": "x1", "receiver": value}])
+        err = _expect_error(doc, "$.events[0].receiver")
+        assert err.reason == f"expected a string, got {kind}"
+
+
+def test_first_failing_event_is_reported():
+    doc = _doc(events=[{"type": "stoppage"}, {"type": "touch", "player": 1},
+                       {"type": "nope"}, 7, {"type": "touch"}])
+    assert _expect_error(doc, "$.events[1]").path == "$.events[1].player"
+
+
 def test_version_and_sport_checks():
     _expect_error(_doc(schema_version="2"), "$.schema_version")
     _expect_error(_doc(sport="cricket"), "$.sport")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from playrank.model import GameLog, Pass, Roster, RosterPlayer, Score, Sport
+from playrank.gamelog_json import parse_gamelog, render_gamelog
+from playrank.model import (
+    SPORT_EVENTS, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
+)
 from playrank.pipeline import analyze_game, build_digraph, solve_stationary
 from playrank.ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, TransitionMatrix,
@@ -77,6 +81,48 @@ def test_score_deltas_accumulate():
     log = GameLog(Sport.BASKETBALL, rosters, (Score("H1", 2), Score("H1", 2)))
     g = apply_events(init_digraph(rosters), log)
     assert g.counts[g.index_of(GOAL), g.index_of("H1")] == 1 + 4
+
+
+def _fold_arcs(sport, events):
+    """Total arc count per (src, dst) pair that ``events`` add in ``sport``:
+    the per-event fold that the columnar build replaced, one arc template
+    lookup per event object."""
+    arcs = {cls: spec.sports[sport][0] for cls, spec in SPORT_EVENTS[sport].items()}
+    tally = {}
+    for ev in events:
+        arc = arcs[type(ev)]
+        if arc is None:
+            continue
+        src, dst, weight = arc
+        key = (src if src is GOAL else getattr(ev, src), getattr(ev, dst))
+        count = getattr(ev, weight) if isinstance(weight, str) else weight
+        tally[key] = tally.get(key, 0) + count
+    return tally
+
+
+def _folded_counts(log):
+    g = init_digraph(log.teams)
+    counts = g.counts.copy()
+    for (src, dst), k in _fold_arcs(log.sport, log.events).items():
+        counts[g.index_of(src), g.index_of(dst)] += k
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=games)
+def test_build_digraph_matches_the_per_event_fold(log):
+    parsed = parse_gamelog(render_gamelog(log))  # events held as arrays only
+    api_built = GameLog(log.sport, log.teams, log.events)  # arrays made from event objects
+    for each in (parsed, api_built):
+        assert np.array_equal(build_digraph(each).counts, _folded_counts(each))
+
+
+def test_apply_events_rejects_what_validation_rejects():
+    rosters = _rosters(1, 1)
+    with pytest.raises(ValueError, match="event 0 is not a basketball event"):
+        build_digraph(GameLog(Sport.BASKETBALL, rosters, (Save("H1", "A1"),)))
+    with pytest.raises(KeyError):
+        build_digraph(GameLog(Sport.BASKETBALL, rosters, (Score("ghost", 2),)))
 
 
 def test_demo_transition_matches_column_stochastic_reference():
@@ -361,8 +407,10 @@ def test_near_periodic_game_is_solved_directly():
     for (passer, receiver), times in passes.items():  # receiver -> passer arcs
         counts[players.index(receiver), players.index(passer)] += times
 
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError) as info:
         stationary_power(to_transition(build_digraph(log)))
+    # handed off as soon as the step's decay rules out tol in 1,000 steps
+    assert int(re.search(r"after (\d+),", str(info.value)).group(1)) <= 64
     analysis = analyze_game(log)
     assert analysis.rank.method == "direct"
     exact = _exact_ipms(counts, players)
