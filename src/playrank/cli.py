@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -265,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         (args.command == "compare" and len(args.games) < 2, "need at least two games"),
         (args.command == "synth" and args.players < 2, "--players must be >= 2"),
         (args.command == "synth" and args.events < 0, "--events must be >= 0"),
-        (getattr(args, "tol", 1.0) <= 0, "--tol must be positive"),
+        (not 0 < getattr(args, "tol", 1.0) < math.inf, "--tol must be positive and finite"),
         (getattr(args, "max_iters", 1) < 1, "--max-iters must be >= 1"),
     ):
         if bad:

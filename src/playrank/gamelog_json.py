@@ -22,6 +22,7 @@ fine but illegal log still parses and then reports violations.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from operator import eq, itemgetter
 from typing import Any
 
@@ -41,6 +42,7 @@ _KEYS: dict[Sport, tuple[frozenset, ...]] = {
 }
 _SIZES = {sport: tuple(map(len, keys)) for sport, keys in _KEYS.items()}
 _FIELDS = {sport: column_fields(sport) for sport in Sport}
+_PLAYER_KEYS = frozenset(("id", "name", "starter"))
 
 
 class SchemaError(Exception):
@@ -108,29 +110,39 @@ def _parse_events(events: list, sport: Sport) -> EventArrays:
     raise AssertionError("the column checks failed on a schema-clean event list")
 
 
-def _parse_player(obj: Any, path: str) -> RosterPlayer:
+def _check_player(obj: Any, path: str) -> None:
+    """Raise the first schema problem of one player object, if it has one."""
     obj = _as(dict, obj, path)
-    _reject_unknown(obj, {"id", "name", "starter"}, path)
-    pid = _as(str, _require(obj, "id", path), f"{path}.id")
-    if not pid:
+    _reject_unknown(obj, _PLAYER_KEYS, path)
+    if not _as(str, _require(obj, "id", path), f"{path}.id"):
         raise SchemaError(f"{path}.id", "player id must be nonempty")
-    name = _as(str, obj["name"], f"{path}.name") if "name" in obj else pid
-    starter = obj.get("starter", False)
-    if not isinstance(starter, bool):
+    if "name" in obj:
+        _as(str, obj["name"], f"{path}.name")
+    if not isinstance(obj.get("starter", False), bool):
         raise SchemaError(f"{path}.starter", "expected a boolean")
-    return RosterPlayer(pid, name, starter)
 
 
 def _parse_team(obj: Any, path: str) -> Roster:
+    """Schema-check a team, its players as columns like _parse_events."""
     obj = _as(dict, obj, path)
     _reject_unknown(obj, {"name", "players"}, path)
     name = _as(str, _require(obj, "name", path), f"{path}.name")
     players = _as(list, _require(obj, "players", path), f"{path}.players")
     if not players:
         raise SchemaError(f"{path}.players", "a team needs at least one player")
-    return Roster(name, tuple(
-        _parse_player(p, f"{path}.players[{i}]") for i, p in enumerate(players)
-    ))
+    try:
+        ids = list(map(itemgetter("id"), players))
+        names = list(map(dict.get, players, repeat("name"), ids))
+        starters = list(map(dict.get, players, repeat("starter"), repeat(False)))
+        if (all(map(_PLAYER_KEYS.issuperset, players)) and set(map(type, ids)) <= {str}
+                and all(ids) and set(map(type, names)) <= {str}
+                and set(map(type, starters)) <= {bool}):
+            return Roster(name, map(RosterPlayer, ids, names, starters))
+    except (LookupError, TypeError):
+        pass
+    for i, p in enumerate(players):
+        _check_player(p, f"{path}.players[{i}]")
+    raise AssertionError("the column checks failed on a schema-clean roster")
 
 
 def parse_gamelog(text: str) -> GameLog:

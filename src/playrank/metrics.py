@@ -61,6 +61,7 @@ class IpmReport(NamedTuple):
     method: str
     players: tuple[PlayerIpm, ...]
     standings: tuple[PlayerIpm, ...]
+    iterations: int = 0  # power iterations; 0 when the direct solve gave the vector
 
 
 class TeamAggregate(NamedTuple):
@@ -117,13 +118,15 @@ def compute_ipm(rank: RankVector, rosters: tuple[Roster, Roster]) -> IpmReport:
     members = [(roster.name, p) for roster in rosters for p in roster.players]
     if len(members) != n:
         raise ValueError(f"rank vector has {n} player entries, rosters have {len(members)}")
+    ipms = 50.0 * n * player_ranks / total
     players = tuple(
         PlayerIpm(p.id, p.name, team, p.starter, r, ipm) for (team, p), r, ipm
-        in zip(members, player_ranks.tolist(), (50.0 * n * player_ranks / total).tolist()))
-    order = sorted(range(n), key=lambda i: (-players[i].ipm, i))
+        in zip(members, player_ranks.tolist(), ipms.tolist()))
+    order = (-ipms).argsort(kind="stable").tolist()  # ties keep roster order
     return IpmReport(
         n=n, goal_rank=goal_rank, residual=rank.residual, method=rank.method,
-        players=players, standings=tuple(players[i] for i in order),
+        players=players, standings=tuple(map(players.__getitem__, order)),
+        iterations=rank.iterations,
     )
 
 

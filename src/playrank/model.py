@@ -46,6 +46,9 @@ class _RecordType(type):
         return super().__new__(mcls, name, bases, ns)
 
 
+_set = object.__setattr__  # sets a slot despite Record's __setattr__
+
+
 class Record(metaclass=_RecordType):
     """Immutable record: positional or keyword construction, the
     ``Name(field=value, ...)`` repr, and == and hash over the fields that
@@ -61,7 +64,7 @@ class Record(metaclass=_RecordType):
                                 f"got {args} and {kwargs}")
             args = [values[f] for f in fields]
         for f, value in zip(fields, args):
-            object.__setattr__(self, f, value)
+            _set(self, f, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -352,7 +355,9 @@ class RosterPlayer(Record):
     starter: bool = False
 
     def __init__(self, id: str, name: str = "", starter: bool = False):
-        Record.__init__(self, id, name or id, starter)
+        _set(self, "id", id)
+        _set(self, "name", name or id)
+        _set(self, "starter", starter)
 
 
 class Roster(Record):
@@ -392,18 +397,18 @@ class GameLog(Record):
         """``events`` may be None when ``arrays`` is given, as the parsers do."""
         values = (sport, tuple(teams), metadata, None if events is None else tuple(events), arrays)
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     @property
     def events(self) -> tuple[Event, ...]:
         if self._events is None:
-            object.__setattr__(self, "_events", self._arrays.to_events())
+            _set(self, "_events", self._arrays.to_events())
         return self._events
 
     @property
     def arrays(self) -> EventArrays:
         if self._arrays is None:
-            object.__setattr__(self, "_arrays", EventArrays.from_events(self._events))
+            _set(self, "_arrays", EventArrays.from_events(self._events))
         return self._arrays
 
     @property

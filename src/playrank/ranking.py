@@ -205,8 +205,8 @@ def stationary_power(
     ``tol`` beyond twice ``max_iters``.  The step never grows, since T is
     stochastic, and it shrinks about geometrically.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     tt = t.floats.T.copy()

@@ -11,13 +11,24 @@ from __future__ import annotations
 
 import io
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 
-from .metrics import CrossGameTable, IpmReport, TeamAggregates
+from .metrics import CrossGameTable, IpmReport, PlayerIpm, TeamAggregates
 from .ranking import PlayDigraph, to_transition
 from .rules import GOAL
 
 REPORT_FORMATS = ("table", "csv", "json")
 MATRIX_FORMS = ("adjacency", "row-stochastic", "column-stochastic")
+
+# A player object of a JSON report as json.dumps(indent=2) lays it out, and
+# json's spelling of the non-finite floats.
+_JSON_PLAYER = "    {\n" + ",\n".join(f'      "{f}": %s' for f in PlayerIpm._fields) + "\n    }"
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values) -> list | map:
+    reprs = list(map(float.__repr__, values))
+    return reprs if _NONFINITE.keys().isdisjoint(reprs) else map(_NONFINITE.get, reprs, reprs)
 
 
 def _team_lines(aggs: TeamAggregates) -> list[str]:
@@ -49,14 +60,22 @@ def render_report(report: IpmReport, aggs: TeamAggregates | None,
         return buf.getvalue()
 
     if fmt == "json":
-        # the report's fields, with its players in standings order
-        doc = {**report._asdict(), "players": [p._asdict() for p in report.standings]}
+        # the report's fields, with its players in standings order laid out by column
+        doc = {**report._asdict(), "players": []}
         del doc["standings"]
         if solver_gap is not None:
             doc["solver_gap"] = solver_gap
         if aggs is not None:
             doc["teams"] = [t._asdict() for t in aggs.teams]
-        return json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2)
+        if report.standings:
+            player, name, team, starter, rank, ipm = zip(*report.standings)
+            objs = map(_JSON_PLAYER.__mod__, zip(
+                map(_json_str, player), map(_json_str, name), map(_json_str, team),
+                map(("false", "true").__getitem__, starter), _json_floats(rank),
+                _json_floats(ipm)))
+            text = text.replace('"players": []', '"players": [\n' + ",\n".join(objs) + "\n  ]", 1)
+        return text + "\n"
 
     raise ValueError(f"unknown report format {fmt!r} (use one of {REPORT_FORMATS})")
 

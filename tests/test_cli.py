@@ -342,6 +342,13 @@ def test_bad_solver_options_exit_64(capsys, demo_playscript_path):
     assert code == 64 and "--max-iters" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+def test_non_finite_tol_exits_64(capsys, demo_playscript_path, tol):
+    code, out, err = run(capsys, "rank", str(demo_playscript_path), f"--tol={tol}")
+    assert code == 64 and out == ""
+    assert "--tol must be positive and finite" in err
+
+
 def test_exhausted_max_iters_falls_back_to_direct(capsys, demo_playscript_path):
     code, out, err = run(capsys, "rank", str(demo_playscript_path),
                          "--max-iters", "1")

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from playrank.gamelog_json import SchemaError, parse_gamelog, render_gamelog
+from playrank.gamelog_json import SchemaError, _check_player, parse_gamelog, render_gamelog
 from playrank.model import (
     GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport,
     validate_game,
@@ -191,3 +191,65 @@ def test_render_includes_metadata_only_when_present():
     doc = json.loads(render_gamelog(with_meta))
     assert doc["metadata"] == {"date": "2024-01-31", "final_score": "2-2"}
     assert parse_gamelog(render_gamelog(with_meta)) == with_meta
+
+
+# One way each to break a player object, as the per-player checker sees it.
+PLAYER_BREAKAGES = {
+    "list": lambda p: [p],
+    "null": lambda p: None,
+    "no id": lambda p: {k: v for k, v in p.items() if k != "id"},
+    "empty id": lambda p: {**p, "id": ""},
+    "int id": lambda p: {**p, "id": 3},
+    "int name": lambda p: {**p, "name": 3},
+    "null name": lambda p: {**p, "name": None},
+    "string starter": lambda p: {**p, "starter": "yes"},
+    "null starter": lambda p: {**p, "starter": None},
+    "extra key": lambda p: {**p, "jersey": 23},
+}
+
+
+def _first_player_error(doc):
+    """The first player SchemaError, checking one player object at a time."""
+    for t, team in enumerate(doc["teams"]):
+        for i, player in enumerate(team["players"]):
+            try:
+                _check_player(player, f"$.teams[{t}].players[{i}]")
+            except SchemaError as exc:
+                return exc.path, exc.reason
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_roster_schema_errors_match_the_per_player_checker(demo_json_path, data):
+    doc = json.loads(demo_json_path.read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3), label="players broken")):
+        team = doc["teams"][data.draw(st.integers(0, 1), label="team")]["players"]
+        i = data.draw(st.integers(0, len(team) - 1), label="player")
+        breakage = data.draw(st.sampled_from(sorted(PLAYER_BREAKAGES)), label="breakage")
+        if isinstance(team[i], dict):
+            team[i] = PLAYER_BREAKAGES[breakage](team[i])
+    want = _first_player_error(doc)
+    assert want is not None
+    with pytest.raises(SchemaError) as info:
+        parse_gamelog(json.dumps(doc))
+    assert (info.value.path, info.value.reason) == want
+
+
+def test_roster_players_parse_from_columns(demo_json_path):
+    doc = json.loads(demo_json_path.read_text(encoding="utf-8"))
+    doc["teams"][0]["players"] = [
+        {"id": "a", "name": "Ann", "starter": True}, {"id": "b", "name": ""},
+        {"starter": False, "id": "c"}]
+    log = parse_gamelog(json.dumps(doc))
+    assert log.teams[0].players == (
+        RosterPlayer("a", "Ann", True), RosterPlayer("b", "b"), RosterPlayer("c", "c", False))
+
+
+def test_duplicate_player_ids_parse_and_fail_validation(demo_json_path):
+    doc = json.loads(demo_json_path.read_text(encoding="utf-8"))
+    doc["teams"][1]["players"].append({"id": doc["teams"][0]["players"][0]["id"]})
+    doc["teams"][0]["players"].append({"id": doc["teams"][0]["players"][1]["id"]})
+    log = parse_gamelog(json.dumps(doc))
+    assert sorted(v.reason for v in validate_game(log)) == [
+        "player id 'A' appears more than once", "player id 'B' appears more than once"]

@@ -10,7 +10,7 @@ from playrank.metrics import (
     PlayerIpm, aggregates, check_proposition_bounds, compare_games,
     compute_ipm,
 )
-from playrank.model import GameLog, GameMetadata, Roster, RosterPlayer, Score, Sport
+from playrank.model import GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport
 from playrank.pipeline import analyze_game, build_digraph
 from playrank.ranking import RankVector, stationary_direct, to_transition
 from playrank.rules import GOAL
@@ -80,6 +80,38 @@ def test_standings_tiebreak_follows_team_then_roster_order():
     report = _report_for(GameLog(Sport.SOCCER, _rosters(2, 2), ()))
     # All IPMs are exactly 50; order must fall back to roster order.
     assert [p.player for p in report.standings] == ["H1", "H2", "A1", "A2"]
+
+
+def _oracle_standings(report):
+    """IPM descending, ties in roster order: the sort the standings follow."""
+    ipm = [p.ipm for p in report.players]
+    return [report.players[i] for i in sorted(range(report.n), key=lambda i: (-ipm[i], i))]
+
+
+@pytest.mark.parametrize("solver", ["power", "direct"])
+def test_mirrored_teams_tie_in_roster_order(solver):
+    events = []
+    for side in "HA":
+        p1, p2, p3 = (f"{side}{i}" for i in (1, 2, 3))
+        events += [Pass(p1, p2), Pass(p2, p3), Pass(p1, p3), Score(p3, 2), Pass(p2, p1)]
+    log = GameLog(Sport.BASKETBALL, _rosters(3, 3), events)
+    report = analyze_game(log, solver=solver).report
+    assert len({p.ipm for p in report.players}) < report.n  # exact ties
+    assert list(report.standings) == _oracle_standings(report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_standings_order_with_repeated_ranks(data):
+    n1, n2 = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    pool = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3))
+    values = data.draw(st.lists(st.sampled_from(pool), min_size=n1 + n2 + 1,
+                                max_size=n1 + n2 + 1))
+    rosters = _rosters(n1, n2)
+    nodes = (*(p.id for r in rosters for p in r.players), GOAL)
+    v = np.array(values) / sum(values)
+    report = compute_ipm(RankVector(nodes, v, 0.0, "direct"), rosters)
+    assert list(report.standings) == _oracle_standings(report)
 
 
 def test_degenerate_goal_rank_rejected():

@@ -294,6 +294,14 @@ def test_power_rejects_bad_arguments():
         stationary_power(t, max_iters=0)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), float("-inf"), -1e-12])
+def test_power_rejects_tolerance_that_is_not_positive_and_finite(tol):
+    # inf would stop after one step and nan would never stop
+    t = to_transition(build_digraph(build_demo_log()))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        stationary_power(t, tol=tol)
+
+
 @settings(max_examples=40, deadline=None)
 @given(log=games)
 def test_power_and_direct_agree(log):

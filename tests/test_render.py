@@ -1,11 +1,17 @@
 import json
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from playrank.metrics import aggregates, compare_games, compute_ipm
+from playrank.metrics import (
+    IpmReport, PlayerIpm, TeamAggregate, TeamAggregates, aggregates,
+    compare_games, compute_ipm,
+)
 from playrank.model import GameLog, GameMetadata, Roster, RosterPlayer, Sport
-from playrank.pipeline import build_digraph
+from playrank.pipeline import analyze_game, build_digraph
 from playrank.ranking import init_digraph, stationary_direct, to_transition
 from playrank.render import render_comparison, render_matrix, render_report
 
@@ -16,6 +22,17 @@ def _report(log, metadata=None):
     rank = stationary_direct(to_transition(build_digraph(log)))
     report = compute_ipm(rank, log.teams)
     return report, aggregates(report, metadata)
+
+
+def _json_oracle(report, aggs, solver_gap=None):
+    """The JSON report as the stdlib encoder writes it, byte for byte."""
+    doc = {**report._asdict(), "players": [p._asdict() for p in report.standings]}
+    del doc["standings"]
+    if solver_gap is not None:
+        doc["solver_gap"] = solver_gap
+    if aggs is not None:
+        doc["teams"] = [t._asdict() for t in aggs.teams]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def test_table_header_and_first_row():
@@ -69,6 +86,65 @@ def test_json_report_fields():
     assert [p["player"] for p in doc["players"]][:2] == ["C", "F"]
     assert doc["players"][0]["ipm"] == pytest.approx(64.657, abs=1e-3)
     assert [t["label"] for t in doc["teams"]] == ["winner", "loser"]
+    assert doc["iterations"] == 0
+
+
+@pytest.mark.parametrize("solver, max_iters, method", [
+    ("power", 1000, "power"), ("both", 1000, "power"), ("direct", 1000, "direct"),
+    ("power", 1, "direct"),  # power iteration runs out and the direct solve takes over
+])
+def test_json_report_carries_power_iterations(solver, max_iters, method):
+    a = analyze_game(build_demo_log(), solver=solver, max_iters=max_iters)
+    doc = json.loads(render_report(a.report, a.teams, "json", solver_gap=a.solver_gap))
+    assert doc["method"] == method
+    assert doc["iterations"] == a.rank.iterations
+    assert (doc["iterations"] > 1) == (method == "power")
+
+
+def test_json_report_matches_stdlib_encoder():
+    report, aggs = _report(build_demo_log(), GameMetadata(final_score="3-2"))
+    for gap in (None, 2.5e-13):
+        for teams in (None, aggs):
+            assert render_report(report, teams, "json", solver_gap=gap) == \
+                _json_oracle(report, teams, gap)
+    # json.dumps spells the non-finite floats NaN, Infinity and -Infinity
+    odd = report._replace(standings=(
+        report.standings[0]._replace(rank=math.nan, ipm=math.inf),
+        report.standings[1]._replace(rank=-math.inf, ipm=-0.0),
+        *report.standings[2:]))
+    text = render_report(odd, aggs, "json")
+    assert text == _json_oracle(odd, aggs)
+    assert '"rank": NaN' in text and '"ipm": Infinity' in text and '"rank": -Infinity' in text
+    empty = report._replace(standings=())
+    assert render_report(empty, None, "json") == _json_oracle(empty, None)
+
+
+awkward_text = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "\u00e9\u00df", "\u2028", "\U0001f600",
+     "\ud800", '"players": []'])
+json_floats = st.floats() | st.sampled_from([5e-324, 1e16, 0.1, -0.0, 1e-7, 1e22])
+players = st.builds(PlayerIpm, awkward_text, awkward_text, awkward_text, st.booleans(),
+                    json_floats, json_floats)
+team_aggs = st.builds(
+    TeamAggregate, awkward_text, st.integers(0, 400), json_floats,
+    st.none() | json_floats, st.sampled_from([None, "winner", "loser"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    standings=st.lists(players, max_size=12),
+    aggs=st.none() | st.builds(TeamAggregates, st.tuples(team_aggs, team_aggs)),
+    solver_gap=st.none() | json_floats,
+    method=st.sampled_from(["power", "direct"]),
+    iterations=st.integers(0, 1000),
+)
+def test_json_report_bytes_equal_stdlib_encoder(standings, aggs, solver_gap, method,
+                                                iterations):
+    report = IpmReport(n=len(standings), goal_rank=0.25, residual=1e-13, method=method,
+                       players=tuple(reversed(standings)), standings=tuple(standings),
+                       iterations=iterations)
+    assert render_report(report, aggs, "json", solver_gap=solver_gap) == \
+        _json_oracle(report, aggs, solver_gap)
 
 
 def test_unknown_format_rejected():
