@@ -13,8 +13,8 @@ from .metrics import (
     aggregates, check_proposition_bounds, compare_games, compute_ipm,
 )
 from .model import (
-    Event, GameLog, GameMetadata, Roster, RosterPlayer, Sport, Violation,
-    validate_game,
+    GOAL, Event, GameLog, GameMetadata, NodeRef, Roster, RosterPlayer, Sport,
+    Violation, validate_game,
 )
 from .pipeline import (
     GameAnalysis, SolverDisagreement, ValidationFailed, analyze_game,
@@ -28,24 +28,24 @@ from .ranking import (
     stationary_power, to_transition,
 )
 from .render import render_comparison, render_matrix, render_report
-from .rules import GOAL, Arc, ArcDelta, NodeRef, arcs_for_event
 from .synth import generate_random_game
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "ArcDelta", "BoundsCheck", "CorruptedGraphError", "CrossGameRow",
-    "CrossGameTable", "DegenerateGoalRankError", "Event", "GOAL",
-    "GameAnalysis", "GameLog", "GameMetadata", "IpmReport",
-    "NodeRef", "NonConvergenceError", "PlayDigraph", "PlayerIpm",
-    "PlayscriptError", "PrimitivityCheck", "PropositionCheck", "RankVector",
-    "RankingError", "Roster", "RosterPlayer", "SchemaError",
-    "SingularSystemError", "SolverDisagreement", "Sport", "TeamAggregate",
-    "TeamAggregates", "TransitionMatrix", "ValidationFailed", "Violation",
-    "aggregates", "analyze_game", "apply_events", "arcs_for_event",
-    "build_digraph", "check_primitive", "check_proposition_bounds",
-    "compare_games", "compute_ipm", "generate_random_game", "init_digraph",
-    "parse_game_text", "parse_gamelog", "parse_playscript", "render_comparison",
+    "BoundsCheck", "CorruptedGraphError", "CrossGameRow", "CrossGameTable",
+    "DegenerateGoalRankError", "Event", "GOAL", "GameAnalysis", "GameLog",
+    "GameMetadata", "IpmReport", "NodeRef", "NonConvergenceError",
+    "PlayDigraph", "PlayerIpm", "PlayscriptError", "PrimitivityCheck",
+    "PropositionCheck", "RankVector", "RankingError", "Roster",
+    "RosterPlayer", "SchemaError", "SingularSystemError",
+    "SolverDisagreement", "Sport", "TeamAggregate", "TeamAggregates",
+    "TransitionMatrix", "ValidationFailed", "Violation", "aggregates",
+    "analyze_game", "apply_events", "build_digraph", "check_primitive",
+    "check_proposition_bounds", "compare_games", "compute_ipm",
+    "generate_random_game", "init_digraph", "parse_game_text",
+    "parse_gamelog", "parse_playscript", "render_comparison",
     "render_gamelog", "render_matrix", "render_report", "solve_stationary",
-    "stationary_direct", "stationary_power", "to_transition", "validate_game",
+    "stationary_direct", "stationary_power", "to_transition",
+    "validate_game",
 ]

@@ -71,6 +71,7 @@ def _load_log(path: Path, input_format: str) -> GameLog:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # a read failure, like a missing file
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = text.removeprefix("\ufeff")  # a byte-order mark; byte offsets above stay absolute
     if input_format == "json":
         return parse_gamelog(text)
     if input_format == "playscript":
@@ -135,6 +136,17 @@ def _cmd_validate(args) -> int:
 _REPORT_EXT = {"table": "txt", "csv": "csv", "json": "json"}
 
 
+def _stems(names: list[str]) -> list[str]:
+    """Each file's stem, with "+" appended to a repeated one until it is new."""
+    stems: dict[str, None] = {}
+    for name in names:
+        stem = Path(name).stem
+        while stem in stems:
+            stem += "+"
+        stems[stem] = None
+    return list(stems)
+
+
 def _cmd_batch(args) -> int:
     import csv  # only batch writes CSV here; render imports it for reports
 
@@ -145,13 +157,8 @@ def _cmd_batch(args) -> int:
     writer.writerow(["game", "wt_aipm", "lt_aipm",
                      "wt_starter_aipm", "lt_starter_aipm"])
     worst = EXIT_OK
-    used_stems: set[str] = set()
-    for name in args.games:
+    for name, stem in zip(args.games, _stems(args.games)):
         path = Path(name)
-        stem = path.stem
-        while stem in used_stems:  # disambiguate duplicate stems
-            stem += "+"
-        used_stems.add(stem)
         try:
             analysis = _analyze_file(path, args)
         except Exception as exc:  # isolate per-file failures
@@ -173,13 +180,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    reports = {}
-    for name in args.games:
-        path = Path(name)
-        key = path.stem
-        while key in reports:  # disambiguate duplicate stems
-            key += "+"
-        reports[key] = _analyze_file(path, args).report
+    reports = {stem: _analyze_file(Path(name), args).report
+               for name, stem in zip(args.games, _stems(args.games))}
     _emit(render_comparison(compare_games(reports), args.format), args.output)
     return EXIT_OK
 

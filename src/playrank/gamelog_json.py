@@ -27,8 +27,8 @@ from operator import eq, itemgetter
 from typing import Any
 
 from .model import (
-    EVENT_SPECS, NO_ROLE, SPEC_BY_CLASS, Event, EventArrays, GameLog,
-    GameMetadata, Roster, RosterPlayer, Sport, column_fields, read_columns,
+    EVENT_SPECS, KIND_OF, NO_ROLE, Event, EventArrays, GameLog, GameMetadata,
+    Roster, RosterPlayer, Sport, column_fields, read_columns,
 )
 
 SCHEMA_VERSION = "1"
@@ -185,7 +185,7 @@ def parse_gamelog(text: str) -> GameLog:
 
 
 def _event_to_obj(ev: Event, sport: Sport) -> dict:
-    spec = SPEC_BY_CLASS[type(ev)]
+    spec = EVENT_SPECS[KIND_OF[type(ev)]]
     carried = spec.wire_ints(sport)
     for f in spec.ints:
         if f not in carried and getattr(ev, f) != 1:

@@ -25,6 +25,8 @@ checks:
 from __future__ import annotations
 
 import re
+from itertools import compress, groupby
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import GameMetadata, Roster
@@ -152,9 +154,10 @@ def aggregates(report: IpmReport, metadata: GameMetadata | None = None) -> TeamA
     """Per-team average IPMs (all players and designated starters)."""
     winner = _winner_index(metadata)
     teams = []
-    for t, name in enumerate(dict.fromkeys(p.team for p in report.players)):
-        ipms = [p.ipm for p in report.players if p.team == name]
-        starters = [p.ipm for p in report.players if p.team == name and p.starter]
+    # players keep roster order, so each team is one run; sums stay in that order
+    for t, (name, run) in enumerate(groupby(report.players, attrgetter("team"))):
+        columns = PlayerIpm._make(zip(*run))
+        ipms, starters = columns.ipm, tuple(compress(columns.ipm, columns.starter))
         teams.append(TeamAggregate(
             team=name,
             size=len(ipms),

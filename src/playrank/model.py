@@ -9,9 +9,9 @@ in one pass.
 
 EVENT_SPECS holds one row per event type with everything the pipeline knows
 about it: wire name, player roles, pair rule, integer bounds, and per sport
-its arc and synthesizer weight.  A log keeps its events as EventArrays, one
-column per fact, which validation and the digraph read without building an
-object per event.
+its arc and synthesizer weight; KIND_TABLE holds the same facts per sport as
+columns.  A log keeps its events as EventArrays, which validation and the
+digraph read against KIND_TABLE without building an object per event.
 """
 
 from __future__ import annotations
@@ -234,8 +234,6 @@ EVENT_SPECS: tuple[EventSpec, ...] = (
  Icing) = (spec.cls for spec in EVENT_SPECS)
 Event = Union[tuple(spec.cls for spec in EVENT_SPECS)]
 
-SPEC_BY_CLASS: dict[type, EventSpec] = {spec.cls: spec for spec in EVENT_SPECS}
-
 # The rows of the event types legal in each sport.
 SPORT_EVENTS: dict[Sport, dict[type, EventSpec]] = {
     sport: {spec.cls: spec for spec in EVENT_SPECS if sport in spec.sports}
@@ -253,6 +251,27 @@ KIND_OF: dict[type, int] = {spec.cls: k for k, spec in enumerate(EVENT_SPECS)}
 UNKNOWN_KIND = len(EVENT_SPECS)
 
 NO_ROLE = object()  # a role column's entry for an event without that role
+
+
+def kind_table(sport: Sport) -> np.ndarray:
+    """What validation and the digraph read of each kind in ``sport``: a
+    column per kind (the EVENT_SPECS rows, then UNKNOWN_KIND) and the rows
+    legal (0 or 1), pair (0 none, 1 teammates, 2 opponents), lo and hi (the
+    integer field's bounds; 1..1 where the sport carries none), src and dst
+    (the arc's ends: 0 first role, 1 second, 2 goal), by_field and constant
+    (its weight: the integer field where by_field, else constant, 0 for a
+    dead ball, which adds no arc)."""
+    out = []
+    for spec in EVENT_SPECS:
+        src, dst, weight = spec.sports.get(sport, (None,))[0] or (GOAL, GOAL, 0)
+        out.append((sport in spec.sports, {None: 0, TEAMMATES: 1, OPPONENTS: 2}[spec.pair],
+                    *next((spec.ints[f] for f in spec.wire_ints(sport)), (1, 1)),
+                    *(2 if end is GOAL else spec.roles.index(end) for end in (src, dst)),
+                    *((1, 0) if isinstance(weight, str) else (0, weight))))
+    return np.array(out + [(0, 0, 1, 1, 2, 2, 0, 0)]).T
+
+
+KIND_TABLE: dict[Sport, np.ndarray] = {sport: kind_table(sport) for sport in Sport}
 
 
 def column_fields(sport: Sport | None = None) -> tuple:
@@ -427,19 +446,6 @@ class Violation(Record):
         return f"{where}: {self.reason}"
 
 
-# Per kind: the pair rule (0 none, 1 teammates, 2 opponents); per sport and
-# kind: legality, and the inclusive bounds of the integer field (1..1 for a
-# type without one or whose field the sport fixes at 1).
-_PAIR = np.array([{None: 0, TEAMMATES: 1, OPPONENTS: 2}[s.pair] for s in EVENT_SPECS] + [0])
-LEGAL_KINDS = {sport: np.array([sport in s.sports for s in EVENT_SPECS] + [False])
-               for sport in Sport}
-_BOUNDS = {
-    sport: np.array([next((s.ints[f] for f in s.wire_ints(sport)), (1, 1))
-                     for s in EVENT_SPECS] + [(1, 1)]).T
-    for sport in Sport
-}
-
-
 def validate_game(log: GameLog) -> list[Violation]:
     """Check every roster and event invariant; return all violations.
 
@@ -473,13 +479,12 @@ def validate_game(log: GameLog) -> list[Violation]:
     team = np.array([team_of.get(pid, -1) for pid in arr.ids] + [-2])  # -2: no such role
     kind, a, b, weight = arr.kind, arr.a, arr.b, arr.weight
     ta, tb = team[a], team[b]
-    illegal = ~LEGAL_KINDS[sport][kind]
+    legal, pair, lo, hi = KIND_TABLE[sport][:4, kind]
+    illegal = legal == 0
     unknown = (ta == -1) | (tb == -1)
     checked = ~(illegal | unknown)
-    pair = _PAIR[kind]
     wrong_sides = checked & (((pair == 2) & (ta == tb)) | ((pair == 1) & ((a == b) | (ta != tb))))
-    lo, hi = _BOUNDS[sport]
-    bad_int = checked & ((weight < lo[kind]) | (weight > hi[kind]))
+    bad_int = checked & ((weight < lo) | (weight > hi))
 
     names = arr.ids + (None,)
     for i in np.flatnonzero(~checked | wrong_sides | bad_int).tolist():
@@ -504,7 +509,7 @@ def validate_game(log: GameLog) -> list[Violation]:
                                  if type(value) is not int
                                  else f"{sport.value} {name}s are always worth 1, got {f}={value}"
                                  if f not in spec.wire_ints(sport)
-                                 else f"{name} needs {f} >= {lo[kind[i]]} and <= {hi[kind[i]]}, "
+                                 else f"{name} needs {f} >= {lo[i]} and <= {hi[i]}, "
                                       f"got {value}"))
 
     return out

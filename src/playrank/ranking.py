@@ -28,8 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LEGAL_KINDS, GameLog, Record, Roster
-from .rules import ARC_COLUMNS, GOAL, NodeRef
+from .model import GOAL, KIND_TABLE, GameLog, NodeRef, Record, Roster
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 1_000
@@ -146,14 +145,14 @@ def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
     arc endpoint that is not a node (validated logs have neither).
     """
     arr = log.arrays
-    illegal = np.flatnonzero(~LEGAL_KINDS[log.sport][arr.kind])
+    legal, _, _, _, src_col, dst_col, by_field, constant = KIND_TABLE[log.sport][:, arr.kind]
+    illegal = np.flatnonzero(legal == 0)
     if len(illegal):
         raise ValueError(f"event {illegal[0]} is not a {log.sport.value} event")
     k, goal = len(g.nodes), g.index_of(GOAL)
     # node of each id, and the goal for a missing role (index -1)
     node = np.array([g._index.get(pid, -1) for pid in arr.ids] + [goal])
     ends = np.stack((node[arr.a], node[arr.b], np.full(len(arr.kind), goal)))
-    src_col, dst_col, by_field, constant = ARC_COLUMNS[log.sport][:, arr.kind]
     rows = np.arange(len(arr.kind))
     src, dst = ends[src_col, rows], ends[dst_col, rows]
     unknown = np.flatnonzero((src < 0) | (dst < 0))

@@ -14,8 +14,8 @@ import json
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .metrics import CrossGameTable, IpmReport, PlayerIpm, TeamAggregates
+from .model import GOAL
 from .ranking import PlayDigraph, to_transition
-from .rules import GOAL
 
 REPORT_FORMATS = ("table", "csv", "json")
 MATRIX_FORMS = ("adjacency", "row-stochastic", "column-stochastic")

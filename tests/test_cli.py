@@ -106,6 +106,27 @@ def test_non_utf8_input_exits_2(capsys, non_utf8_game, command):
     assert err.startswith(f"{non_utf8_game}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("input_format", ["auto", "given"])
+@pytest.mark.parametrize("demo", ["demo_json_path", "demo_playscript_path"])
+def test_rank_reads_through_a_byte_order_mark(capsys, tmp_path, request, demo, input_format):
+    path = request.getfixturevalue(demo)
+    with_bom = tmp_path / path.name
+    with_bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    fmt = [] if input_format == "auto" else [
+        "--input-format", "json" if path.suffix == ".json" else "playscript"]
+    expected = run(capsys, "rank", str(path), *fmt)
+    assert expected[0] == 0
+    assert run(capsys, "rank", str(with_bom), *fmt) == expected
+
+
+def test_non_utf8_offset_counts_the_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xef\xbb\xbf{\xff}")
+    code, _, err = run(capsys, "rank", str(path))
+    assert code == 2
+    assert err == f"{path}: not UTF-8 text (invalid start byte at byte 4)\n"
+
+
 def test_rank_output_file(capsys, tmp_path, demo_playscript_path):
     out_path = tmp_path / "report.txt"
     code, out, _ = run(capsys, "rank", str(demo_playscript_path), "-o", str(out_path))

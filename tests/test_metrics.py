@@ -10,10 +10,9 @@ from playrank.metrics import (
     PlayerIpm, aggregates, check_proposition_bounds, compare_games,
     compute_ipm,
 )
-from playrank.model import GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport
+from playrank.model import GOAL, GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport
 from playrank.pipeline import analyze_game, build_digraph
 from playrank.ranking import RankVector, stationary_direct, to_transition
-from playrank.rules import GOAL
 from playrank.synth import generate_random_game
 
 from golden import DEMO_IPM_EXACT, build_demo_log

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
-    SPORT_EVENTS, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
+    GOAL, SPORT_EVENTS, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
 )
 from playrank.pipeline import analyze_game, build_digraph, solve_stationary
 from playrank.ranking import (
@@ -16,7 +16,6 @@ from playrank.ranking import (
     apply_events, check_primitive, init_digraph, stationary_direct,
     stationary_power, to_transition,
 )
-from playrank.rules import GOAL
 from playrank.synth import generate_random_game
 
 from golden import (

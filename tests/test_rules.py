@@ -1,12 +1,44 @@
+"""The arc each event adds, read from the shipped digraph build: the
+counts of ``build_digraph`` on a one-event log minus those of
+``init_digraph``."""
+
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 
 from playrank.model import (
-    SPORT_EVENTS, ContestedMiss, Dispossess, FoulDead, FoulLeadingToGoal,
-    FoulNoFreeThrows, FoulWithFreeThrows, Icing, Intercept, Offside, Pass,
-    PenaltyDrawnNoPPG, PenaltyDrawnPPG, Save, Score, Sport, Stoppage, Touch,
-    UncontestedMissDead, UncontestedMissRebounded, UnforcedTurnover,
+    GOAL, SPORT_EVENTS, ContestedMiss, Dispossess, FoulDead, FoulLeadingToGoal,
+    FoulNoFreeThrows, FoulWithFreeThrows, GameLog, Icing, Intercept, NodeRef,
+    Offside, Pass, PenaltyDrawnNoPPG, PenaltyDrawnPPG, Roster, RosterPlayer,
+    Save, Score, Sport, Stoppage, Touch, UncontestedMissDead,
+    UncontestedMissRebounded, UnforcedTurnover,
 )
-from playrank.rules import GOAL, Arc, arcs_for_event
+from playrank.pipeline import build_digraph
+from playrank.ranking import init_digraph
+
+
+class Arc(NamedTuple):
+    src: NodeRef
+    dst: NodeRef
+    count: int = 1
+
+
+def arcs_for_event(sport, event) -> tuple[Arc, ...]:
+    """The arcs that ``build_digraph`` adds for ``event`` alone in ``sport``.
+
+    Every player the event names sits on the first team: the build does not
+    validate, so the pair rule does not matter here.
+    """
+    ids = dict.fromkeys(v for v in event._values() if isinstance(v, str))
+    teams = (Roster("One", [RosterPlayer(pid) for pid in ids] or [RosterPlayer("x")]),
+             Roster("Two", [RosterPlayer("y")]))
+    g = build_digraph(GameLog(sport, teams, (event,)))
+    added = g.counts - init_digraph(teams).counts
+    assert (added >= 0).all()  # rules only ever add arcs
+    return tuple(Arc(g.nodes[i], g.nodes[j], int(added[i, j]))
+                 for i, j in zip(*np.nonzero(added)))
+
 
 # One sample instance per event type, for exhaustiveness sweeps.
 _SAMPLES = {
