@@ -1,0 +1,162 @@
+"""Print one digest line per input, so two versions of playrank can be
+compared for exactly the same outputs.
+
+    PYTHONPATH=src python scripts/exact_outputs.py [--games N] SEED [SEED ...]
+
+Run it once against each version's ``src/`` and ``diff`` the two outputs.
+The inputs are, per seed, the games ``perfbench/gen.py`` makes for the
+benchmark (``season``, ``wide_roster`` and the playscript pickup games),
+each as JSON and as playscript, plus a mutated corpus built from small
+games of that seed: one role per event replaced (by a teammate, an
+opponent, the other role's player and an id on neither roster), integer
+fields out of range, and one event object per schema fault.  Then the
+``generate_random_game`` output of seeds 0-20 in each sport.
+
+Each line names the input, then gives the SHA-256 of the digraph's arc
+``counts``, of the report in ``json``, ``table`` and ``csv``, of the
+``validate_game`` list and of the parse ``error`` text; "-" marks a stage
+that did not run (a parse error, or a log with violations).
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import gen  # noqa: E402  (the benchmark's generator, read only)
+
+from playrank import (  # noqa: E402
+    PlayscriptError, RankingError, SchemaError, Sport, analyze_game,
+    generate_random_game, parse_gamelog, parse_playscript, render_gamelog,
+    render_report, validate_game,
+)
+
+FIELDS = ("counts", "json", "table", "csv", "violations", "error")
+SYNTH_SEEDS = range(21)
+
+# One schema fault per entry, applied to a copy of one event object.
+SCHEMA_FAULTS = {
+    "missing-role": lambda ev, role: {k: v for k, v in ev.items() if k != role},
+    "extra-field": lambda ev, role: {**ev, "note": "x"},
+    "renamed-field": lambda ev, role: {("who" if k == role else k): v for k, v in ev.items()},
+    "role-int": lambda ev, role: {**ev, role: 5},
+    "role-list": lambda ev, role: {**ev, role: [ev[role]]},
+    "role-null": lambda ev, role: {**ev, role: None},
+    "role-bool": lambda ev, role: {**ev, role: True},
+    "role-object": lambda ev, role: {**ev, role: {"id": ev[role]}},
+    "type-unknown": lambda ev, role: {**ev, "type": "alley_oop"},
+    "type-int": lambda ev, role: {**ev, "type": 3},
+    "type-missing": lambda ev, role: {k: v for k, v in ev.items() if k != "type"},
+    "event-list": lambda ev, role: [ev],
+    "event-null": lambda ev, role: None,
+}
+INT_FAULTS = (0, 5, -1, 2**63 - 1, 2**63, 2**70, -2**70, True, False, 2.0, "2", None, [2])
+
+
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def digest(text: str, fmt: str) -> dict[str, str]:
+    """The digests of one input document; "-" for the stages not reached."""
+    out = dict.fromkeys(FIELDS, "-")
+    try:
+        log = parse_gamelog(text) if fmt == "json" else parse_playscript(text)
+    except (SchemaError, PlayscriptError) as exc:
+        out["error"] = _sha(f"{type(exc).__name__}: {exc}")
+        return out
+    violations = validate_game(log)
+    out["violations"] = _sha("\n".join(map(str, violations)))
+    if violations:
+        return out
+    try:
+        analysis = analyze_game(log)
+    except RankingError as exc:
+        out["error"] = _sha(f"{type(exc).__name__}: {exc}")
+        return out
+    counts = analysis.digraph.counts
+    out["counts"] = _sha(f"{counts.shape}{counts.dtype}".encode() + counts.tobytes())
+    for fmt in ("json", "table", "csv"):
+        out[fmt] = _sha(render_report(analysis.report, analysis.teams, fmt))
+    return out
+
+
+def _mutants(name: str, doc: dict):
+    """(name, document) for each single mutation of ``doc``."""
+    events = doc["events"]
+    home, away = ([p["id"] for p in t["players"]] for t in doc["teams"])
+    for i, ev in enumerate(events):
+        roles = [k for k in ev if k not in ("type", "points", "made")]
+        for r, role in enumerate(roles):
+            on_home = ev[role] in home
+            replacements = {
+                "teammate": (home if on_home else away)[0],
+                "opponent": (away if on_home else home)[0],
+                "ghost": f"ghost{i}",
+            }
+            if len(roles) == 2:
+                replacements["same"] = ev[roles[1 - r]]
+            for how, pid in replacements.items():
+                mutant = copy.deepcopy(doc)
+                mutant["events"][i][role] = pid
+                yield f"{name}/e{i}.{role}={how}", mutant
+        for field in ("points", "made"):
+            if field in ev:
+                for value in INT_FAULTS:
+                    mutant = copy.deepcopy(doc)
+                    mutant["events"][i][field] = value
+                    yield f"{name}/e{i}.{field}={value!r}", mutant
+        if roles:
+            for fault, change in SCHEMA_FAULTS.items():
+                mutant = copy.deepcopy(doc)
+                mutant["events"][i] = change(ev, roles[-1])
+                yield f"{name}/e{i}:{fault}", mutant
+    for t, team in enumerate(doc["teams"]):
+        mutant = copy.deepcopy(doc)
+        mutant["teams"][t]["players"].append({"id": home[0]})
+        yield f"{name}/team{t}-repeats-{home[0]}", mutant
+    mutant = copy.deepcopy(doc)
+    mutant["events"].append({"type": "score", "scorer": home[0], "points": 1})
+    yield f"{name}/score-with-points", mutant
+
+
+def inputs(seed: int, games: int):
+    """(name, text, format) for every input of one seed."""
+    for game in (gen.season(seed, games=games) + gen.wide_roster(seed, games=max(1, games // 10))
+                 + gen.pickup_games(seed) + [gen.demo_game()]):
+        yield f"s{seed}/{game.gid}/{game.fmt}", game.text, game.fmt
+        yield f"s{seed}/{game.gid}/play", game.play_text, "playscript"
+    for game in gen.season(seed, games=3, events=(10, 14), players=(6, 8)):
+        for name, doc in _mutants(f"s{seed}/mut/{game.gid}", json.loads(game.text)):
+            yield name, json.dumps(doc), "json"
+
+
+def synth_inputs():
+    for seed in SYNTH_SEEDS:
+        for sport in Sport:
+            log = generate_random_game(sport, 2 + seed % 12, 25 * seed, seed)
+            yield f"synth/{sport.value}/{seed}", render_gamelog(log)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", nargs="+", type=int)
+    parser.add_argument("--games", type=int, default=240,
+                        help="season games per seed (a multiple of 3)")
+    args = parser.parse_args(argv)
+    for seed in args.seeds:
+        for name, text, fmt in inputs(seed, args.games):
+            print(name, *(f"{k}={v}" for k, v in digest(text, fmt).items()))
+    for name, text in synth_inputs():
+        print(name, f"synth={_sha(text)}", *(f"{k}={v}" for k, v in digest(text, "json").items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .gamelog_json import SchemaError, parse_gamelog, render_gamelog
 from .metrics import DegenerateGoalRankError, compare_games
-from .model import GameLog, Sport, validate_game
+from .model import MAX_PLAYERS, GameLog, Sport, validate_game
 from .pipeline import (
     SOLVERS, GameAnalysis, ValidationFailed, analyze_game, build_digraph,
     parse_game_text,
@@ -267,6 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     for bad, message in (
         (args.command == "compare" and len(args.games) < 2, "need at least two games"),
         (args.command == "synth" and args.players < 2, "--players must be >= 2"),
+        (args.command == "synth" and args.players > MAX_PLAYERS,
+         f"--players must be <= {MAX_PLAYERS}"),
         (args.command == "synth" and args.events < 0, "--events must be >= 0"),
         (not 0 < getattr(args, "tol", 1.0) < math.inf, "--tol must be positive and finite"),
         (getattr(args, "max_iters", 1) < 1, "--max-iters must be >= 1"),

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import json
 from itertools import repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Any
 
+import numpy as np
+
 from .model import (
-    EVENT_SPECS, KIND_OF, NO_ROLE, Event, EventArrays, GameLog, GameMetadata,
-    Roster, RosterPlayer, Sport, column_fields, read_columns,
+    EVENT_SPECS, KIND_OF, Event, EventArrays, GameLog, GameMetadata, Roster,
+    RosterPlayer, Sport, event_fields,
 )
 
 SCHEMA_VERSION = "1"
@@ -40,8 +42,8 @@ _KEYS: dict[Sport, tuple[frozenset, ...]] = {
     sport: tuple(frozenset(("type", *spec.roles, *spec.wire_ints(sport))) for spec in EVENT_SPECS)
     for sport in Sport
 }
-_SIZES = {sport: tuple(map(len, keys)) for sport, keys in _KEYS.items()}
-_FIELDS = {sport: column_fields(sport) for sport in Sport}
+_SIZES = {sport: np.array(list(map(len, keys))) for sport, keys in _KEYS.items()}
+_FIELDS = {sport: event_fields(sport) for sport in Sport}
 _PLAYER_KEYS = frozenset(("id", "name", "starter"))
 
 
@@ -89,25 +91,26 @@ def _check_event(obj: Any, sport: Sport, path: str) -> None:
         _as(int, _require(obj, f, path), f"{path}.{f}")
 
 
-def _parse_events(events: list, sport: Sport) -> EventArrays:
-    """Schema-check the event objects as columns and pack them.
-
-    Every check runs over a whole column at C speed; when one fails, the
-    first failing event is found and its SchemaError raised.
-    """
+def _parse_events(events: list, sport: Sport, teams: tuple[Roster, Roster]) -> EventArrays:
+    """Schema-check the event objects and read them as node columns, kind by
+    kind (EventArrays.read).  On a missing field, an unhashable value, a role
+    that is no roster id or an integer beyond int64, the per-event checker
+    raises the first SchemaError; if it passes, validate_game reports the rest."""
+    arrays = None
     try:
-        kinds = list(map(_KINDS.__getitem__, map(itemgetter("type"), events)))
-        # as many keys as the type has fields, and none of them missing
-        exact = all(map(eq, map(len, events), map(_SIZES[sport].__getitem__, kinds)))
-        first, second, ints = read_columns(dict.get, events, kinds, _FIELDS[sport])
-        roles = set(map(type, first)) | set(map(type, second))
-        if exact and roles <= {str, type(NO_ROLE)} and set(map(type, ints)) <= {int}:
-            return EventArrays.from_columns(kinds, first, second, ints)
+        kind = np.fromiter(map(_KINDS.__getitem__, map(itemgetter("type"), events)), np.intp)
+        arrays = EventArrays.read(events, kind, teams, _FIELDS[sport], itemgetter)
+        # read raises on a missing key, so the key count is exact iff its sum is
+        if (sum(map(len, events)) == _SIZES[sport][kind].sum() and not arrays.odd
+                and len(arrays.ids) == sum(len(t.players) for t in teams)):
+            return arrays
     except (LookupError, TypeError):
         pass
     for i, obj in enumerate(events):
         _check_event(obj, sport, f"$.events[{i}]")
-    raise AssertionError("the column checks failed on a schema-clean event list")
+    if arrays is None:
+        raise AssertionError("the column checks failed on a schema-clean event list")
+    return arrays
 
 
 def _check_player(obj: Any, path: str) -> None:
@@ -181,7 +184,7 @@ def parse_gamelog(text: str) -> GameLog:
                                for k in ("date", "final_score") if k in mobj})
 
     events = _as(list, _require(doc, "events", "$"), "$.events")
-    return GameLog(sport, rosters, None, metadata, _parse_events(events, sport))
+    return GameLog(sport, rosters, None, metadata, _parse_events(events, sport, rosters))
 
 
 def _event_to_obj(ev: Event, sport: Sport) -> dict:
@@ -191,10 +194,7 @@ def _event_to_obj(ev: Event, sport: Sport) -> dict:
         if f not in carried and getattr(ev, f) != 1:
             raise ValueError(f"cannot encode a {sport.value} {spec.name} worth "
                              f"{getattr(ev, f)}; validate the log first")
-    obj: dict[str, Any] = {"type": spec.name}
-    for f in spec.roles + carried:
-        obj[f] = getattr(ev, f)
-    return obj
+    return {"type": spec.name, **{f: getattr(ev, f) for f in spec.roles + carried}}
 
 
 def render_gamelog(log: GameLog) -> str:

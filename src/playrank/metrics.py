@@ -25,7 +25,7 @@ checks:
 from __future__ import annotations
 
 import re
-from itertools import compress, groupby
+from itertools import compress, groupby, repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -117,13 +117,12 @@ def compute_ipm(rank: RankVector, rosters: tuple[Roster, Roster]) -> IpmReport:
     player_ranks = rank.player_ranks
     n = len(player_ranks)
     total = float(player_ranks.sum())  # equals 1 - goal_rank
-    members = [(roster.name, p) for roster in rosters for p in roster.players]
+    members = [(p.id, p.name, r.name, p.starter) for r in rosters for p in r.players]
     if len(members) != n:
         raise ValueError(f"rank vector has {n} player entries, rosters have {len(members)}")
     ipms = 50.0 * n * player_ranks / total
-    players = tuple(
-        PlayerIpm(p.id, p.name, team, p.starter, r, ipm) for (team, p), r, ipm
-        in zip(members, player_ranks.tolist(), ipms.tolist()))
+    players = tuple(map(tuple.__new__, repeat(PlayerIpm),  # not PlayerIpm's Python __new__
+                        map(tuple.__add__, members, zip(player_ranks.tolist(), ipms.tolist()))))
     order = (-ipms).argsort(kind="stable").tolist()  # ties keep roster order
     return IpmReport(
         n=n, goal_rank=goal_rank, residual=rank.residual, method=rank.method,

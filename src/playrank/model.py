@@ -12,12 +12,18 @@ about it: wire name, player roles, pair rule, integer bounds, and per sport
 its arc and synthesizer weight; KIND_TABLE holds the same facts per sport as
 columns.  A log keeps its events as EventArrays, which validation and the
 digraph read against KIND_TABLE without building an object per event.
+
+One index space runs from input to digraph: node i is the i-th roster
+player, team 1 then team 2, and the goal is node n.  Every producer of
+EventArrays reads the rosters first and writes each role as its node; an
+id on neither roster is appended from n up, for validation to report.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -234,12 +240,6 @@ EVENT_SPECS: tuple[EventSpec, ...] = (
  Icing) = (spec.cls for spec in EVENT_SPECS)
 Event = Union[tuple(spec.cls for spec in EVENT_SPECS)]
 
-# The rows of the event types legal in each sport.
-SPORT_EVENTS: dict[Sport, dict[type, EventSpec]] = {
-    sport: {spec.cls: spec for spec in EVENT_SPECS if sport in spec.sports}
-    for sport in Sport
-}
-
 
 # ---------------------------------------------------------------------------
 # Event columns
@@ -249,8 +249,6 @@ SPORT_EVENTS: dict[Sport, dict[type, EventSpec]] = {
 # API-built log can hold one) is UNKNOWN_KIND.
 KIND_OF: dict[type, int] = {spec.cls: k for k, spec in enumerate(EVENT_SPECS)}
 UNKNOWN_KIND = len(EVENT_SPECS)
-
-NO_ROLE = object()  # a role column's entry for an event without that role
 
 
 def kind_table(sport: Sport) -> np.ndarray:
@@ -274,52 +272,49 @@ def kind_table(sport: Sport) -> np.ndarray:
 KIND_TABLE: dict[Sport, np.ndarray] = {sport: kind_table(sport) for sport in Sport}
 
 
-def column_fields(sport: Sport | None = None) -> tuple:
-    """Per column (first role, second role, integer field): the field each
-    kind keeps it in ("" for none), and what to read from an item without
-    that field: None where the kind has the field (so it is missing), else
-    NO_ROLE or 1.  Given a sport, an integer field it leaves off the wire
-    counts as none."""
-    def column(pick, absent):
-        names = tuple(pick(s) for s in EVENT_SPECS) + ("",)
-        return names, tuple(None if f else absent for f in names)
-
-    return (column(lambda s: s.roles[0] if s.roles else "", NO_ROLE),
-            column(lambda s: s.roles[1] if len(s.roles) > 1 else "", NO_ROLE),
-            column(lambda s: next(iter(s.wire_ints(sport) if sport else s.ints), ""), 1))
+def event_fields(sport: Sport | None = None) -> tuple[tuple[str, str, str], ...]:
+    """Per kind (the EVENT_SPECS rows, then UNKNOWN_KIND), the fields that
+    hold its first role, second role and integer field, "" for none.  Given
+    a sport, an integer field it leaves off the wire counts as none."""
+    return tuple((*spec.roles, "", "")[:2]
+                 + (next(iter(spec.wire_ints(sport) if sport else spec.ints), ""),)
+                 for spec in EVENT_SPECS) + (("", "", ""),)
 
 
-EVENT_FIELDS = column_fields()
-INT_FIELD = EVENT_FIELDS[2][0]
+EVENT_FIELDS = event_fields()
 
 
-def read_columns(get, items, kinds: list[int], columns: tuple = EVENT_FIELDS) -> tuple:
-    """The role and integer columns of ``items``, each field read by
-    ``get(item, field, default)`` (getattr, or dict.get)."""
-    return tuple(list(map(get, items, map(names.__getitem__, kinds),
-                          map(absent.__getitem__, kinds))) for names, absent in columns)
+def _int64_column(values: list) -> tuple[list, dict]:
+    """``values`` with each that is no int64 set to 0, and those by position."""
+    if set(map(type, values)) <= {int} and -2**63 <= min(values) <= max(values) < 2**63:
+        return values, {}
+    odd = {i: v for i, v in enumerate(values) if type(v) is not int or not -2**63 <= v < 2**63}
+    return [0 if i in odd else v for i, v in enumerate(values)], odd
 
 
-def _int64_column(values: Sequence) -> tuple[np.ndarray, dict]:
-    if set(map(type, values)) <= {int}:
-        try:
-            return np.array(values, dtype=np.int64), {}
-        except OverflowError:
-            pass
-    odd = {i: v for i, v in enumerate(values)
-           if type(v) is not int or not -2**63 <= v < 2**63}
-    return np.array([0 if i in odd else v for i, v in enumerate(values)], dtype=np.int64), odd
+class NodeIndex(dict):
+    """Player id -> node for one game: the roster ids, team 1 then team 2 (a
+    repeated id keeps its first node), then any other key, appended to ``ids``."""
+
+    def __init__(self, teams):
+        self.ids = [p.id for roster in teams for p in roster.players]
+        super().__init__(zip(reversed(self.ids), range(len(self.ids) - 1, -1, -1)))
+
+    def __missing__(self, key):
+        self[key] = node = len(self.ids)
+        self.ids.append(key)
+        return node
 
 
 class EventArrays(NamedTuple):
     """A game's events as columns; row i is event i.
 
-    ``kind`` is the event's row in EVENT_SPECS; ``a`` and ``b`` index
-    ``ids`` for its first and second role, -1 where it has no such role;
-    ``weight`` is its integer field (points or made), 1 for a type without
-    one.  An integer field that is no int64 (another type or out of range:
-    only the Python API or a huge JSON number makes one) is kept in ``odd``
-    by row, with weight 0.
+    ``kind`` is the event's row in EVENT_SPECS; ``a`` and ``b`` are the
+    nodes of its first and second role (-1 for none), which ``ids`` names:
+    the roster ids, team 1 then team 2, then any ids on neither roster.
+    ``weight`` is its integer field (points or made; 1 for a type without
+    one, 0 for one that is no int64, which ``odd`` keeps by row: only the
+    Python API or a huge JSON number makes one).
     """
 
     kind: np.ndarray
@@ -330,28 +325,34 @@ class EventArrays(NamedTuple):
     odd: dict
 
     @classmethod
-    def from_columns(cls, kinds: Sequence[int], first: Sequence, second: Sequence,
-                     ints: Sequence) -> EventArrays:
-        """Pack per-event columns, interning the ids of the role columns
-        (NO_ROLE where an event has no such role)."""
-        order = dict.fromkeys(chain(first, second))
-        order.pop(NO_ROLE, None)
-        index = dict(zip(order, range(len(order))))
-        index[NO_ROLE] = -1
-        n = len(kinds)
-        a, b = (np.fromiter(map(index.__getitem__, col), np.intp, n) for col in (first, second))
-        weight, odd = _int64_column(ints)
-        return cls(np.array(kinds, dtype=np.intp), a, b, weight, tuple(order), odd)
+    def read(cls, items: Sequence, kind: np.ndarray, teams, fields: tuple = EVENT_FIELDS,
+             getter=attrgetter) -> EventArrays:
+        """Read ``items`` (objects, or dicts with itemgetter) kind by kind via a NodeIndex."""
+        index = NodeIndex(teams)
+        order = kind.astype(np.uint8).argsort(kind="stable")  # by kind, a radix sort
+        present = np.flatnonzero(np.bincount(kind))
+        starts = np.searchsorted(kind[order], present[1:])
+        parts = ([np.empty(0, np.intp)], [np.empty(0, np.intp)])  # a and b, kind by kind
+        weight = np.ones(len(kind), dtype=np.int64)
+        odd = {}
+        for k, rows in zip(present.tolist(), np.split(order, starts)):
+            group = list(map(items.__getitem__, rows.tolist()))
+            *roles, integer = fields[k]
+            for part, f in zip(parts, roles):
+                part.append(np.fromiter(map(index.__getitem__, map(getter(f), group)), np.intp,
+                                        len(group)) if f else np.full(len(group), -1))
+            if integer:
+                weight[rows], bad = _int64_column(list(map(getter(integer), group)))
+                odd.update((int(rows[i]), v) for i, v in bad.items())
+        a, b = np.empty((2, len(kind)), dtype=np.intp)
+        a[order], b[order] = map(np.concatenate, parts)
+        return cls(kind, a, b, weight, tuple(index.ids), odd)
 
     @classmethod
-    def from_rows(cls, rows: list[tuple]) -> EventArrays:
-        """Pack (kind, first role, second role, integer field) rows."""
-        return cls.from_columns(*(zip(*rows) if rows else ((),) * 4))
-
-    @classmethod
-    def from_events(cls, events: tuple) -> EventArrays:
-        kinds = list(map(KIND_OF.get, map(type, events), repeat(UNKNOWN_KIND)))
-        return cls.from_columns(kinds, *read_columns(getattr, events, kinds))
+    def from_rows(cls, rows: list[tuple], ids: tuple) -> EventArrays:
+        """Pack (kind, first node, second node, integer field) rows."""
+        kind, a, b, weight = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        return cls(kind, a, b, weight, ids, {})
 
     def to_events(self) -> tuple[Event, ...]:
         ids = self.ids + (None,)
@@ -367,6 +368,12 @@ class EventArrays(NamedTuple):
 # ---------------------------------------------------------------------------
 # Rosters and game logs
 # ---------------------------------------------------------------------------
+
+# The most players a game may have, as the matrices are dense and the direct
+# solve cubic: at 2,000 players and 10,000 events `rank --solver both` peaks at
+# 192 MB RSS in 0.8 s, 0.27 s of it the direct solve (BLAS on one thread).
+MAX_PLAYERS = 2_000
+
 
 class RosterPlayer(Record):
     id: str
@@ -427,7 +434,9 @@ class GameLog(Record):
     @property
     def arrays(self) -> EventArrays:
         if self._arrays is None:
-            _set(self, "_arrays", EventArrays.from_events(self._events))
+            kind = np.fromiter(map(KIND_OF.get, map(type, self._events), repeat(UNKNOWN_KIND)),
+                               np.intp, len(self._events))
+            _set(self, "_arrays", EventArrays.read(self._events, kind, self.teams))
         return self._arrays
 
     @property
@@ -467,26 +476,25 @@ def validate_game(log: GameLog) -> list[Violation]:
             seen.add(p.id)
     if log.n_players < 2:
         out.append(Violation(None, "a game needs at least 2 players"))
+    if log.n_players > MAX_PLAYERS:
+        out.append(Violation(None, f"{log.n_players} players, over the cap of {MAX_PLAYERS}"))
     if log.teams[0].name == log.teams[1].name:
         out.append(Violation(None, f"both teams are named '{log.teams[0].name}'"))
 
     arr = log.arrays
     sport = log.sport
-    # player id -> team index; the first occurrence wins, so event checks
-    # stay usable even when the rosters themselves are broken
-    team_of = {p.id: t for t, roster in reversed(tuple(enumerate(log.teams)))
-               for p in reversed(roster.players)}
-    team = np.array([team_of.get(pid, -1) for pid in arr.ids] + [-2])  # -2: no such role
     kind, a, b, weight = arr.kind, arr.a, arr.b, arr.weight
-    ta, tb = team[a], team[b]
+    # each node's side: team 1 (0), team 2 (1) or neither roster (2); -1 (last) for no role
+    side = np.repeat([0, 1, 2, -1],
+                     [len(t.players) for t in log.teams] + [len(arr.ids) - log.n_players, 1])
+    ta, tb = side[a], side[b]
     legal, pair, lo, hi = KIND_TABLE[sport][:4, kind]
     illegal = legal == 0
-    unknown = (ta == -1) | (tb == -1)
+    unknown = (ta == 2) | (tb == 2)
     checked = ~(illegal | unknown)
     wrong_sides = checked & (((pair == 2) & (ta == tb)) | ((pair == 1) & ((a == b) | (ta != tb))))
     bad_int = checked & ((weight < lo) | (weight > hi))
 
-    names = arr.ids + (None,)
     for i in np.flatnonzero(~checked | wrong_sides | bad_int).tolist():
         if illegal[i]:
             out.append(Violation(i, f"unknown event type {type(log.events[i]).__name__}"
@@ -496,15 +504,15 @@ def validate_game(log: GameLog) -> list[Violation]:
         spec = EVENT_SPECS[kind[i]]
         name = spec.name
         if unknown[i]:
-            out += [Violation(i, f"{name} references unknown player '{names[col[i]]}'")
-                    for col, side in ((a, ta), (b, tb)) if side[i] == -1]
+            out += [Violation(i, f"{name} references unknown player '{arr.ids[col[i]]}'")
+                    for col, side in ((a, ta), (b, tb)) if side[i] == 2]
             continue
         if wrong_sides[i]:
             out.append(Violation(i, f"{name} endpoints must be on opposite teams" if pair[i] == 2
                                  else f"{name} endpoints must be distinct" if a[i] == b[i]
                                  else f"{name} endpoints on opposite teams"))
         if bad_int[i]:  # a non-int comes from an API-built event: the parsers check types
-            f, value = INT_FIELD[kind[i]], arr.odd.get(i, int(weight[i]))
+            f, value = EVENT_FIELDS[kind[i]][2], arr.odd.get(i, int(weight[i]))
             out.append(Violation(i, f"{name} needs {f} to be an integer, got {value!r}"
                                  if type(value) is not int
                                  else f"{sport.value} {name}s are always worth 1, got {f}={value}"

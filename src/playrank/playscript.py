@@ -20,8 +20,8 @@ JSON format.
 from __future__ import annotations
 
 from .model import (
-    KIND_OF, NO_ROLE, Dispossess, EventArrays, GameLog, Pass, Roster,
-    RosterPlayer, Score, Sport, UnforcedTurnover,
+    KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, RosterPlayer,
+    Score, Sport, UnforcedTurnover,
 )
 
 _PASS, _STEAL, _LOST, _SCORE = (
@@ -65,10 +65,10 @@ def parse_playscript(text: str) -> GameLog:
     Raises PlayscriptError (with line and column) on the first problem; a
     partially parsed log is never returned.
     """
-    teams: list[Roster] = []
+    teams: list[tuple[str, list[str]]] = []  # (name, player ids)
     starters: dict[str, tuple[int, int]] = {}  # id -> where #starters named it
-    team_of: dict[str, int] = {}
-    events: list[tuple] = []  # (kind, first role, second role, points)
+    node: dict[str, int] = {}  # id -> node: roster order, team 1 then team 2
+    events: list[tuple] = []  # (kind, first node, second node or -1, points)
 
     lines = text.splitlines()
 
@@ -92,11 +92,11 @@ def parse_playscript(text: str) -> GameLog:
                 if _is_reserved(pid):
                     raise PlayscriptError("malformed-header", lineno, col,
                                           f"player id {pid!r} collides with a reserved token")
-                if pid in team_of:
+                if pid in node:
                     raise PlayscriptError("malformed-header", lineno, col,
                                           f"player id {pid!r} declared twice")
-                team_of[pid] = len(teams)
-            teams.append(Roster(name, tuple(RosterPlayer(pid) for pid in ids)))
+                node[pid] = len(node)
+            teams.append((name, ids))
         elif fields[0] == "#starters":
             for pid in fields[1:]:
                 starters.setdefault(pid, (lineno, col))
@@ -108,27 +108,23 @@ def parse_playscript(text: str) -> GameLog:
         raise PlayscriptError("malformed-header", len(lines) + 1, 1,
                               f"expected two #team lines, found {len(teams)}")
     for pid, (lineno, col) in starters.items():
-        if pid not in team_of:
+        if pid not in node:
             raise PlayscriptError("undeclared-player", lineno, col,
                                   f"#starters references undeclared player {pid!r}")
-    if starters:
-        teams = [
-            Roster(t.name, tuple(
-                RosterPlayer(p.id, p.name, p.id in starters) for p in t.players
-            ))
-            for t in teams
-        ]
+    rosters = [Roster(name, (RosterPlayer(pid, pid, pid in starters) for pid in ids))
+               for name, ids in teams]
 
     # Sequence pass.
+    n_home = len(teams[0][1])
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        prev: str | None = None  # player carrying the ball, None = dead ball
+        prev: int | None = None  # node carrying the ball, None = dead ball
         for token, col in _split_tokens(raw):
             if token == "0":
                 if prev is not None:
-                    events.append((_LOST, prev, NO_ROLE, 1))
+                    events.append((_LOST, prev, -1, 1))
                 prev = None
             elif token == "G" or token.startswith("G:"):
                 points = 1
@@ -143,15 +139,16 @@ def parse_playscript(text: str) -> GameLog:
                 if prev is None:
                     raise PlayscriptError("unknown-token", lineno, col,
                                           f"score token {token!r} must follow a player")
-                events.append((_SCORE, prev, NO_ROLE, points))
+                events.append((_SCORE, prev, -1, points))
                 prev = None
-            elif token in team_of:
+            elif token in node:
+                here = node[token]
                 if prev is not None:
-                    if team_of[prev] == team_of[token]:
-                        events.append((_PASS, prev, token, 1))
+                    if (prev < n_home) == (here < n_home):
+                        events.append((_PASS, prev, here, 1))
                     else:
-                        events.append((_STEAL, token, prev, 1))  # winner, loser
-                prev = token
+                        events.append((_STEAL, here, prev, 1))  # winner, loser
+                prev = here
             elif not token:
                 raise PlayscriptError("unknown-token", lineno, col, "empty token")
             elif token.isidentifier() or token.isalnum():
@@ -161,4 +158,5 @@ def parse_playscript(text: str) -> GameLog:
                 raise PlayscriptError("unknown-token", lineno, col,
                                       f"unrecognized token {token!r}")
 
-    return GameLog(Sport.BASKETBALL, teams, None, arrays=EventArrays.from_rows(events))
+    return GameLog(Sport.BASKETBALL, rosters, None,
+                   arrays=EventArrays.from_rows(events, tuple(node)))

@@ -64,12 +64,8 @@ class PlayDigraph(Record, by_identity=True):
     def n_players(self) -> int:
         return len(self.nodes) - 1
 
-    @cached_property
-    def _index(self) -> dict[NodeRef, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
-
     def index_of(self, node: NodeRef) -> int:
-        return self._index[node]
+        return self.nodes.index(node)
 
 
 class TransitionMatrix(Record, by_identity=True):
@@ -126,9 +122,7 @@ class PrimitivityCheck(NamedTuple):
 
 def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
     """Pre-game digraph: player<->goal arcs both ways plus the goal self-loop."""
-    nodes: tuple[NodeRef, ...] = tuple(
-        p.id for roster in rosters for p in roster.players
-    ) + (GOAL,)
+    nodes = tuple(p.id for roster in rosters for p in roster.players) + (GOAL,)
     n = len(nodes) - 1
     counts = np.zeros((n + 1, n + 1), dtype=np.int64)
     counts[:n, n] = 1  # player -> goal
@@ -139,27 +133,25 @@ def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
 def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
     """Add every event's arcs to a copy of ``g`` in one ``np.add.at``.
 
-    Events only add arcs, so the result dominates ``g`` entrywise and the
-    final counts do not depend on event order.  Raises ValueError for an
-    event type that is not legal in the log's sport and KeyError for an
-    arc endpoint that is not a node (validated logs have neither).
+    ``g`` has the log's nodes (``init_digraph(log.teams)``), which the event
+    columns index; events only add arcs, so the result dominates ``g`` in
+    any event order.  Raises ValueError for an event type the sport lacks
+    and KeyError for a player on neither roster (a validated log has neither).
     """
     arr = log.arrays
     legal, _, _, _, src_col, dst_col, by_field, constant = KIND_TABLE[log.sport][:, arr.kind]
     illegal = np.flatnonzero(legal == 0)
     if len(illegal):
         raise ValueError(f"event {illegal[0]} is not a {log.sport.value} event")
-    k, goal = len(g.nodes), g.index_of(GOAL)
-    # node of each id, and the goal for a missing role (index -1)
-    node = np.array([g._index.get(pid, -1) for pid in arr.ids] + [goal])
-    ends = np.stack((node[arr.a], node[arr.b], np.full(len(arr.kind), goal)))
-    rows = np.arange(len(arr.kind))
-    src, dst = ends[src_col, rows], ends[dst_col, rows]
-    unknown = np.flatnonzero((src < 0) | (dst < 0))
+    n = g.n_players
+    unknown = np.flatnonzero((arr.a >= n) | (arr.b >= n))
     if len(unknown):
-        raise KeyError(f"event {unknown[0]} has an arc endpoint that is not a node")
+        raise KeyError(f"event {unknown[0]} names a player that is not a node")
+    ends = np.stack((arr.a, arr.b, np.full(len(arr.kind), n)))
+    ends[ends < 0] = n  # no such role: the goal
+    src, dst = (ends[col, np.arange(len(arr.kind))] for col in (src_col, dst_col))
     counts = g.counts.copy()
-    np.add.at(counts.reshape(-1), src * k + dst, np.where(by_field, arr.weight, constant))
+    np.add.at(counts.reshape(-1), src * (n + 1) + dst, np.where(by_field, arr.weight, constant))
     return PlayDigraph(g.nodes, counts)
 
 

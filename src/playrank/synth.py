@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .model import (
-    KIND_OF, NO_ROLE, OPPONENTS, SPORT_EVENTS, TEAMMATES, EventArrays, GameLog,
+    EVENT_SPECS, KIND_OF, KIND_TABLE, OPPONENTS, TEAMMATES, EventArrays, GameLog,
     Roster, RosterPlayer, Sport,
 )
 
@@ -51,7 +51,7 @@ def generate_random_game(
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
 
-    specs = SPORT_EVENTS[sport].values()
+    specs = [spec for spec, legal in zip(EVENT_SPECS, KIND_TABLE[sport][0]) if legal]
     table = {spec.name: spec.sports[sport][1] for spec in specs}
     if weights is not None:
         unknown = set(weights) - set(table)
@@ -62,8 +62,8 @@ def generate_random_game(
 
     rng = random.Random(seed)
     home, away = _make_rosters(sport, n_players)
-    teams = (home.player_ids, away.player_ids)
-    everyone = teams[0] + teams[1]
+    everyone = tuple(range(n_players))  # nodes: home, then away
+    teams = (everyone[:len(home.players)], everyone[len(home.players):])
     sides = [t for t in teams if len(t) >= 2]
 
     pool = [spec for spec in specs
@@ -85,8 +85,9 @@ def generate_random_game(
             ids = (rng.choice(a), rng.choice(b))
         else:
             ids = rng.sample(everyone, n_roles)
-        first, second = (*ids, NO_ROLE, NO_ROLE)[:2]
+        first, second = (*ids, -1, -1)[:2]
         ints = [rng.randint(lo, hi) for lo, hi in bounds]
         rows.append((kind, first, second, ints[0] if ints else 1))
 
-    return GameLog(sport, (home, away), None, arrays=EventArrays.from_rows(rows))
+    return GameLog(sport, (home, away), None,
+                   arrays=EventArrays.from_rows(rows, home.player_ids + away.player_ids))

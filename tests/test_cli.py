@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import re
+import time
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from playrank import cli
 from playrank.cli import main
 from playrank.gamelog_json import SchemaError
+from playrank.model import MAX_PLAYERS
 from playrank.pipeline import parse_game_text
 from playrank.playscript import PlayscriptError
 from playrank.ranking import SingularSystemError
@@ -345,6 +348,35 @@ def test_synth_usage_errors(capsys):
     code, _, err = run(capsys, "synth", "--sport", "soccer", "--players", "4",
                        "--events", "-1")
     assert code == 64 and "--events" in err
+    code, out, err = run(capsys, "synth", "--sport", "soccer",
+                         "--players", str(MAX_PLAYERS + 1), "--events", "5")
+    assert code == 64 and f"--players must be <= {MAX_PLAYERS}" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["rank", "validate", "matrix"])
+def test_a_game_over_the_player_cap_exits_1_before_any_matrix(capsys, tmp_path, command):
+    players = [{"id": f"p{i}"} for i in range(MAX_PLAYERS + 1)]
+    doc = {"schema_version": "1", "sport": "hockey",
+           "teams": [{"name": "X", "players": players[:1000]},
+                     {"name": "Y", "players": players[1000:]}],
+           "events": [{"type": "pass", "passer": "p0", "receiver": "p1"}]}
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, str(path)] + (["--solver", "both"] if command == "rank" else [])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *args)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    reason = f"roster: {MAX_PLAYERS + 1} players, over the cap of {MAX_PLAYERS}"
+    assert reason in (out if command == "validate" else err)
+    assert elapsed < 2.0
+    # one (k x k) int64 or float64 matrix at this size alone would take 32 MB
+    assert peak < 8 * 2**20
 
 
 # --- usage ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
-    GOAL, SPORT_EVENTS, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
+    EVENT_SPECS, GOAL, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
 )
 from playrank.pipeline import analyze_game, build_digraph, solve_stationary
 from playrank.ranking import (
@@ -86,7 +86,7 @@ def _fold_arcs(sport, events):
     """Total arc count per (src, dst) pair that ``events`` add in ``sport``:
     the per-event fold that the columnar build replaced, one arc template
     lookup per event object."""
-    arcs = {cls: spec.sports[sport][0] for cls, spec in SPORT_EVENTS[sport].items()}
+    arcs = {spec.cls: spec.sports[sport][0] for spec in EVENT_SPECS if sport in spec.sports}
     tally = {}
     for ev in events:
         arc = arcs[type(ev)]

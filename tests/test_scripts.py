@@ -1,6 +1,9 @@
 """The scripts the README documents run end to end."""
 
+import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,3 +21,22 @@ def test_rank_demo_runs():
     assert lines[0] == "== standings (JSON twin carries the final score) =="
     assert lines[1] == "Player | Team | IPM"
     assert lines[-1].startswith("stationary solve: method=power, ")
+
+
+def test_exact_outputs_digests_a_small_game_and_its_mutants():
+    spec = importlib.util.spec_from_file_location(
+        "exact_outputs", REPO_ROOT / "scripts" / "exact_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
+    clean = script.digest(game.text, "json")
+    assert list(clean) == list(script.FIELDS) and clean["error"] == "-"
+    assert all(re.fullmatch("[0-9a-f]{64}", v) for k, v in clean.items() if k != "error")
+    assert script.digest(game.play_text, "playscript")["error"] == "-"
+    lines = {name: script.digest(json.dumps(doc), "json")
+             for name, doc in script._mutants("m", json.loads(game.text))}
+    errors = [name for name, d in lines.items() if d["error"] != "-"]
+    violations = [name for name, d in lines.items() if d["counts"] == "-" and d["error"] == "-"]
+    assert any(name.endswith(":role-int") for name in errors)
+    assert any(name.endswith("=ghost") for name in violations)
+    assert any(name.endswith("=1180591620717411303424") for name in violations)
