@@ -22,10 +22,10 @@ from .pipeline import (
 )
 from .playscript import PlayscriptError, parse_playscript
 from .ranking import (
-    CorruptedGraphError, NonConvergenceError, PlayDigraph, PrimitivityCheck,
-    RankVector, RankingError, SingularSystemError, TransitionMatrix,
-    apply_events, check_primitive, init_digraph, stationary_direct,
-    stationary_power, to_transition,
+    CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
+    RankingError, SingularSystemError, TransitionMatrix, apply_events,
+    check_primitive, init_digraph, stationary_direct, stationary_power,
+    to_transition,
 )
 from .render import render_comparison, render_matrix, render_report
 from .synth import generate_random_game
@@ -36,16 +36,15 @@ __all__ = [
     "BoundsCheck", "CorruptedGraphError", "CrossGameRow", "CrossGameTable",
     "DegenerateGoalRankError", "Event", "GOAL", "GameAnalysis", "GameLog",
     "GameMetadata", "IpmReport", "NodeRef", "NonConvergenceError",
-    "PlayDigraph", "PlayerIpm", "PlayscriptError", "PrimitivityCheck",
-    "PropositionCheck", "RankVector", "RankingError", "Roster",
-    "RosterPlayer", "SchemaError", "SingularSystemError",
-    "SolverDisagreement", "Sport", "TeamAggregate", "TeamAggregates",
-    "TransitionMatrix", "ValidationFailed", "Violation", "aggregates",
-    "analyze_game", "apply_events", "build_digraph", "check_primitive",
-    "check_proposition_bounds", "compare_games", "compute_ipm",
-    "generate_random_game", "init_digraph", "parse_game_text",
-    "parse_gamelog", "parse_playscript", "render_comparison",
-    "render_gamelog", "render_matrix", "render_report", "solve_stationary",
-    "stationary_direct", "stationary_power", "to_transition",
-    "validate_game",
+    "PlayDigraph", "PlayerIpm", "PlayscriptError", "PropositionCheck",
+    "RankVector", "RankingError", "Roster", "RosterPlayer", "SchemaError",
+    "SingularSystemError", "SolverDisagreement", "Sport", "TeamAggregate",
+    "TeamAggregates", "TransitionMatrix", "ValidationFailed", "Violation",
+    "aggregates", "analyze_game", "apply_events", "build_digraph",
+    "check_primitive", "check_proposition_bounds", "compare_games",
+    "compute_ipm", "generate_random_game", "init_digraph",
+    "parse_game_text", "parse_gamelog", "parse_playscript",
+    "render_comparison", "render_gamelog", "render_matrix", "render_report",
+    "solve_stationary", "stationary_direct", "stationary_power",
+    "to_transition", "validate_game",
 ]

@@ -202,12 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Possession-digraph PageRank player ratings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    io_opts = argparse.ArgumentParser(add_help=False)
-    io_opts.add_argument("--input-format", choices=("auto", "json", "playscript"),
+    in_opts = argparse.ArgumentParser(add_help=False)
+    in_opts.add_argument("--input-format", choices=("auto", "json", "playscript"),
                          default="auto",
                          help="input format (default: auto-detect, '{' means JSON)")
-    io_opts.add_argument("-o", "--output", default=None,
-                         help="write result to this file instead of stdout")
+    out_opts = argparse.ArgumentParser(add_help=False)
+    out_opts.add_argument("-o", "--output", default=None,
+                          help="write result to this file instead of stdout")
 
     solver_opts = argparse.ArgumentParser(add_help=False)
     solver_opts.add_argument("--solver", choices=SOLVERS, default="power")
@@ -216,37 +217,37 @@ def build_parser() -> argparse.ArgumentParser:
     solver_opts.add_argument("--max-iters", type=int, default=POWER_MAX_ITERS,
                              help="power iterations before the direct solve takes over")
 
-    p = sub.add_parser("rank", parents=[io_opts, solver_opts],
+    p = sub.add_parser("rank", parents=[in_opts, out_opts, solver_opts],
                        help="rank one game's players by IPM")
     p.add_argument("game")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("matrix", parents=[io_opts],
+    p = sub.add_parser("matrix", parents=[in_opts, out_opts],
                        help="dump a game's digraph or transition matrix")
     p.add_argument("game")
     p.add_argument("--form", choices=MATRIX_FORMS, default="adjacency")
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("validate", parents=[io_opts],
+    p = sub.add_parser("validate", parents=[in_opts],
                        help="check a game log against every invariant")
     p.add_argument("game")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("batch", parents=[io_opts, solver_opts],
+    p = sub.add_parser("batch", parents=[in_opts, solver_opts],
                        help="rank many games; write reports plus a summary CSV")
     p.add_argument("games", nargs="+")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("compare", parents=[io_opts, solver_opts],
+    p = sub.add_parser("compare", parents=[in_opts, out_opts, solver_opts],
                        help="compare player IPMs across games")
     p.add_argument("games", nargs="+")
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("synth", parents=[io_opts],
+    p = sub.add_parser("synth", parents=[out_opts],
                        help="generate a random-but-valid game log (JSON)")
     p.add_argument("--sport", choices=[s.value for s in Sport], required=True)
     p.add_argument("--players", type=int, required=True)

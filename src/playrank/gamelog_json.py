@@ -30,20 +30,16 @@ import numpy as np
 
 from .model import (
     EVENT_SPECS, KIND_OF, Event, EventArrays, GameLog, GameMetadata, Roster,
-    RosterPlayer, Sport, event_fields,
+    RosterPlayer, Sport,
 )
 
 SCHEMA_VERSION = "1"
 
-# Wire name -> kind (row of EVENT_SPECS), and per sport and kind the exact
-# key set of its objects.
+# Wire name -> kind (row of EVENT_SPECS), and per sport and kind the key
+# count of its objects: the type, its roles and the integer fields it carries.
 _KINDS: dict[str, int] = {spec.name: k for k, spec in enumerate(EVENT_SPECS)}
-_KEYS: dict[Sport, tuple[frozenset, ...]] = {
-    sport: tuple(frozenset(("type", *spec.roles, *spec.wire_ints(sport))) for spec in EVENT_SPECS)
-    for sport in Sport
-}
-_SIZES = {sport: np.array(list(map(len, keys))) for sport, keys in _KEYS.items()}
-_FIELDS = {sport: event_fields(sport) for sport in Sport}
+_SIZES = {sport: np.array([1 + len(s.roles) + len(s.wire_ints(sport)) for s in EVENT_SPECS])
+          for sport in Sport}
 _PLAYER_KEYS = frozenset(("id", "name", "starter"))
 
 
@@ -83,11 +79,12 @@ def _check_event(obj: Any, sport: Sport, path: str) -> None:
     name = _as(str, _require(obj, "type", path), f"{path}.type")
     if name not in _KINDS:
         raise SchemaError(f"{path}.type", f"unknown event type '{name}'")
-    _reject_unknown(obj, _KEYS[sport][_KINDS[name]], path)
     spec = EVENT_SPECS[_KINDS[name]]
+    carried = spec.wire_ints(sport)
+    _reject_unknown(obj, {"type", *spec.roles, *carried}, path)
     for f in spec.roles:
         _as(str, _require(obj, f, path), f"{path}.{f}")
-    for f in spec.wire_ints(sport):
+    for f in carried:
         _as(int, _require(obj, f, path), f"{path}.{f}")
 
 
@@ -99,7 +96,7 @@ def _parse_events(events: list, sport: Sport, teams: tuple[Roster, Roster]) -> E
     arrays = None
     try:
         kind = np.fromiter(map(_KINDS.__getitem__, map(itemgetter("type"), events)), np.intp)
-        arrays = EventArrays.read(events, kind, teams, _FIELDS[sport], itemgetter)
+        arrays = EventArrays.read(events, kind, teams, sport, itemgetter)
         # read raises on a missing key, so the key count is exact iff its sum is
         if (sum(map(len, events)) == _SIZES[sport][kind].sum() and not arrays.odd
                 and len(arrays.ids) == sum(len(t.players) for t in teams)):

@@ -25,7 +25,7 @@ checks:
 from __future__ import annotations
 
 import re
-from itertools import compress, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -220,21 +220,14 @@ def compare_games(reports: Mapping[str, IpmReport]) -> CrossGameTable:
     if not reports:
         raise ValueError("compare_games needs at least one report")
     game_ids = tuple(reports.keys())
-    player_order: list[str] = []
-    seen: set[str] = set()
-    for report in reports.values():
-        for p in report.standings:
-            if p.player not in seen:
-                seen.add(p.player)
-                player_order.append(p.player)
-
     # reversed, so the first occurrence of a repeated id wins
     ipm_by_game = {
         gid: {p.player: p.ipm for p in reversed(report.players)}
         for gid, report in reports.items()
     }
     rows = []
-    for pid in player_order:
+    # each player once, first seen game by game; the sort below fixes the row order
+    for pid in dict.fromkeys(chain.from_iterable(ipm_by_game.values())):
         ipms = {gid: by_id.get(pid) for gid, by_id in ipm_by_game.items()}
         present = [v for v in ipms.values() if v is not None]
         rows.append(CrossGameRow(pid, ipms, sum(present) / len(present)))

@@ -272,18 +272,6 @@ def kind_table(sport: Sport) -> np.ndarray:
 KIND_TABLE: dict[Sport, np.ndarray] = {sport: kind_table(sport) for sport in Sport}
 
 
-def event_fields(sport: Sport | None = None) -> tuple[tuple[str, str, str], ...]:
-    """Per kind (the EVENT_SPECS rows, then UNKNOWN_KIND), the fields that
-    hold its first role, second role and integer field, "" for none.  Given
-    a sport, an integer field it leaves off the wire counts as none."""
-    return tuple((*spec.roles, "", "")[:2]
-                 + (next(iter(spec.wire_ints(sport) if sport else spec.ints), ""),)
-                 for spec in EVENT_SPECS) + (("", "", ""),)
-
-
-EVENT_FIELDS = event_fields()
-
-
 def _int64_column(values: list) -> tuple[list, dict]:
     """``values`` with each that is no int64 set to 0, and those by position."""
     if set(map(type, values)) <= {int} and -2**63 <= min(values) <= max(values) < 2**63:
@@ -325,9 +313,11 @@ class EventArrays(NamedTuple):
     odd: dict
 
     @classmethod
-    def read(cls, items: Sequence, kind: np.ndarray, teams, fields: tuple = EVENT_FIELDS,
+    def read(cls, items: Sequence, kind: np.ndarray, teams, sport: Sport | None = None,
              getter=attrgetter) -> EventArrays:
-        """Read ``items`` (objects, or dicts with itemgetter) kind by kind via a NodeIndex."""
+        """Read ``items`` kind by kind via a NodeIndex: the fields of each
+        kind's EVENT_SPECS row, from event objects, or with ``sport`` and
+        itemgetter from wire dicts, which carry only ``wire_ints(sport)``."""
         index = NodeIndex(teams)
         order = kind.astype(np.uint8).argsort(kind="stable")  # by kind, a radix sort
         present = np.flatnonzero(np.bincount(kind))
@@ -337,12 +327,12 @@ class EventArrays(NamedTuple):
         odd = {}
         for k, rows in zip(present.tolist(), np.split(order, starts)):
             group = list(map(items.__getitem__, rows.tolist()))
-            *roles, integer = fields[k]
-            for part, f in zip(parts, roles):
+            spec = EVENT_SPECS[k] if k < UNKNOWN_KIND else EventSpec(None, "", (), None, {}, {})
+            for part, f in zip(parts, (*spec.roles, None, None)):
                 part.append(np.fromiter(map(index.__getitem__, map(getter(f), group)), np.intp,
                                         len(group)) if f else np.full(len(group), -1))
-            if integer:
-                weight[rows], bad = _int64_column(list(map(getter(integer), group)))
+            for f in spec.wire_ints(sport) if sport else spec.ints:  # at most one
+                weight[rows], bad = _int64_column(list(map(getter(f), group)))
                 odd.update((int(rows[i]), v) for i, v in bad.items())
         a, b = np.empty((2, len(kind)), dtype=np.intp)
         a[order], b[order] = map(np.concatenate, parts)
@@ -512,7 +502,7 @@ def validate_game(log: GameLog) -> list[Violation]:
                                  else f"{name} endpoints must be distinct" if a[i] == b[i]
                                  else f"{name} endpoints on opposite teams"))
         if bad_int[i]:  # a non-int comes from an API-built event: the parsers check types
-            f, value = EVENT_FIELDS[kind[i]][2], arr.odd.get(i, int(weight[i]))
+            f, value = next(iter(spec.ints)), arr.odd.get(i, int(weight[i]))
             out.append(Violation(i, f"{name} needs {f} to be an integer, got {value!r}"
                                  if type(value) is not int
                                  else f"{sport.value} {name}s are always worth 1, got {f}={value}"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,11 +114,6 @@ class RankVector(Record, by_identity=True):
         return float(self.values[-1])
 
 
-class PrimitivityCheck(NamedTuple):
-    is_primitive: bool  # always True: a matrix without a hub raises instead
-    witness: int  # smallest m with T^m entrywise positive
-
-
 def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
     """Pre-game digraph: player<->goal arcs both ways plus the goal self-loop."""
     nodes = tuple(p.id for roster in rosters for p in roster.players) + (GOAL,)
@@ -166,8 +160,9 @@ def to_transition(g: PlayDigraph) -> TransitionMatrix:
     return TransitionMatrix(g.nodes, g.counts, row_sums)
 
 
-def check_primitive(t: TransitionMatrix) -> PrimitivityCheck:
-    """Certify that some power of T is entrywise positive, in O(k^2).
+def check_primitive(t: TransitionMatrix) -> int:
+    """Certify that some power of T is entrywise positive, in O(k^2), and
+    return the smallest such exponent, the witness.
 
     A hub -- a node whose row and column are both all-positive, as the goal
     node is in every graph from ``init_digraph`` -- joins any i and j by the
@@ -179,7 +174,7 @@ def check_primitive(t: TransitionMatrix) -> PrimitivityCheck:
     if not (pattern.all(axis=0) & pattern.all(axis=1)).any():
         raise CorruptedGraphError(
             "no node has an all-positive row and column; graph was not initialized")
-    return PrimitivityCheck(True, 1 if pattern.all() else 2)
+    return 1 if pattern.all() else 2
 
 
 def stationary_power(

@@ -147,7 +147,7 @@ def test_criterion_3_golden_ipm(demo_text):
 def test_criterion_4_random_sweep_invariants(sweep):
     ok = (
         sweep["validate_failures"] == 0
-        and sweep["witnesses"] == {(True, 2)}
+        and sweep["witnesses"] == {2}
         and sweep["sum_dev"] <= 1e-8
         and sweep["mean_dev"] <= 1e-9
         and sweep["min_excess"] <= 1e-9
@@ -160,7 +160,7 @@ def test_criterion_4_random_sweep_invariants(sweep):
             f"max residual {sweep['residual']:.2e}, solver gap {sweep['solver_gap']:.2e}, "
             f"sum dev {sweep['sum_dev']:.2e}, mean dev {sweep['mean_dev']:.2e}")
     assert sweep["validate_failures"] == 0
-    assert sweep["witnesses"] == {(True, 2)}
+    assert sweep["witnesses"] == {2}
     assert sweep["sum_dev"] <= 1e-8
     assert sweep["mean_dev"] <= 1e-9
     assert sweep["min_excess"] <= 1e-9

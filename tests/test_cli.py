@@ -388,6 +388,33 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "rank")[0] == 64  # missing file
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{game}", "-o", "{out}"],
+    ["batch", "{game}", "--output-dir", "{dir}", "-o", "{out}"],
+    ["synth", "--sport", "soccer", "--players", "4", "--events", "3", "--input-format", "json"],
+], ids=["validate -o", "batch -o", "synth --input-format"])
+def test_an_option_the_command_does_not_read_exits_64(capsys, tmp_path, demo_json_path, argv):
+    argv = [a.format(game=demo_json_path, out=tmp_path / "out.txt", dir=tmp_path / "reports")
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+def test_validate_and_batch_read_the_input_format(capsys, tmp_path, demo_json_path):
+    assert run(capsys, "validate", str(demo_json_path), "--input-format", "json")[:2] == (0, "ok\n")
+    code, _, err = run(capsys, "validate", str(demo_json_path), "--input-format", "playscript")
+    assert code == 2 and err
+    code, _, err = run(capsys, "batch", str(demo_json_path), "--input-format", "json",
+                       "--output-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert (tmp_path / "three_on_three.report.txt").exists()
+    code, _, err = run(capsys, "batch", str(demo_json_path), "--input-format", "playscript",
+                       "--output-dir", str(tmp_path))
+    assert code == 2 and err.startswith(f"{demo_json_path}: ")
+
+
 def test_bad_solver_options_exit_64(capsys, demo_playscript_path):
     code, _, err = run(capsys, "rank", str(demo_playscript_path), "--tol", "0")
     assert code == 64 and "--tol" in err

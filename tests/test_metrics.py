@@ -120,6 +120,13 @@ def test_degenerate_goal_rank_rejected():
         compute_ipm(rank, _rosters(1, 1))
 
 
+def test_rosters_that_do_not_match_the_vector_rejected():
+    rank = stationary_direct(to_transition(build_digraph(
+        GameLog(Sport.SOCCER, _rosters(2, 2), ()))))
+    with pytest.raises(ValueError, match="rank vector has 4 player entries, rosters have 2"):
+        compute_ipm(rank, _rosters(1, 1))
+
+
 def test_scaling_invariance():
     log = build_demo_log()
     rank = stationary_direct(to_transition(build_digraph(log)))
@@ -226,6 +233,18 @@ def test_bounds_unknown_starter_rejected():
     report = _report_for(GameLog(Sport.SOCCER, _rosters(1, 1), ()))
     with pytest.raises(KeyError):
         check_proposition_bounds(report, starters={"nobody"})
+
+
+def test_bounds_take_the_roster_starters_unless_given_a_list():
+    teams = tuple(Roster(name, (RosterPlayer(f"{name}1", starter=True), RosterPlayer(f"{name}2")))
+                  for name in ("H", "A"))
+    report = _report_for(GameLog(Sport.SOCCER, teams, (Score("H1"), Score("H1"), Score("A2"))))
+    check = check_proposition_bounds(report)
+    assert check.starter_gap.applicable
+    assert check == check_proposition_bounds(report, starters=["H1", "A1"])
+    assert check != check_proposition_bounds(report, starters=["H1"])
+    with pytest.raises(KeyError, match=r"unknown starter ids: \['ghost'\]"):
+        check_proposition_bounds(report, starters=["H1", "ghost"])
 
 
 @settings(max_examples=40, deadline=None)

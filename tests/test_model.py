@@ -1,3 +1,4 @@
+import pickle
 import typing
 
 import hypothesis.strategies as st
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
-    EVENT_SPECS, OPPONENTS, TEAMMATES, ContestedMiss, Event,
-    FoulWithFreeThrows, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
-    UncontestedMissRebounded, Violation, validate_game,
+    EVENT_SPECS, GOAL, OPPONENTS, TEAMMATES, ContestedMiss, Event,
+    FoulWithFreeThrows, GameLog, GameMetadata, Pass, Roster, RosterPlayer, Save,
+    Score, Sport, UncontestedMissRebounded, Violation, _Goal, validate_game,
 )
 from playrank.synth import generate_random_game
 
@@ -136,6 +137,12 @@ def test_roster_level_violations():
         "roster: both teams are named 'X'"]
 
 
+def test_an_empty_player_id_is_a_roster_violation():
+    log = GameLog(Sport.HOCKEY, (Roster("X", (RosterPlayer(""), RosterPlayer("p"))),
+                                 Roster("Y", (RosterPlayer("q"),))), ())
+    assert validate_game(log) == [Violation(None, "team 'X' has a player with an empty id")]
+
+
 def test_validate_is_pure(demo_log):
     assert validate_game(demo_log) == validate_game(demo_log)
 
@@ -191,6 +198,62 @@ def test_each_legal_event_round_trips_and_checks_its_pair(sport, spec):
             assert validate_game(_game([_sample(spec, sport, ids)], sport=sport)) == []
 
 
+# --- records ------------------------------------------------------------
+
+def _event_and_repr(spec):
+    """The row's event with roles "A" and "B" and integer fields 2, and its repr."""
+    values = {**dict(zip(spec.roles, "AB")), **dict.fromkeys(spec.ints, 2)}
+    text = ", ".join(f"{f}={v!r}" for f, v in values.items())
+    return spec.cls(**values), f"{spec.cls.__name__}({text})"
+
+
+_PAT = RosterPlayer("p1", "Pat", True)
+_REDS = Roster("Reds", [_PAT])
+_RECORDS = [
+    *map(_event_and_repr, EVENT_SPECS),
+    (_PAT, "RosterPlayer(id='p1', name='Pat', starter=True)"),
+    (_REDS, f"Roster(name='Reds', players=({_PAT!r},))"),
+    (GameMetadata("2024-05-01", "3-2"), "GameMetadata(date='2024-05-01', final_score='3-2')"),
+    (Violation(3, "bad"), "Violation(event_index=3, reason='bad')"),
+    (GameLog(Sport.SOCCER, (_REDS, Roster("Blues", [RosterPlayer("q")])), [Pass("p1", "q")]),
+     f"GameLog(sport={Sport.SOCCER!r}, teams=({_REDS!r}, Roster(name='Blues', players="
+     "(RosterPlayer(id='q', name='q', starter=False),))), events=(Pass(passer='p1', "
+     "receiver='q'),), metadata=GameMetadata(date=None, final_score=None))"),
+]
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_keep_their_documented_contract(record, text):
+    cls, fields, values = type(record), record._fields, record._values()
+    assert repr(record) == text
+    twin = cls(*values)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert cls(**dict(zip(fields, values))) == record
+    for other in (spec.cls for spec in EVENT_SPECS):  # as Pass("A", "B") to Dispossess
+        if other is not cls and len(other._fields) == len(fields):
+            assert record != other(*values)
+    for f in fields or ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(record, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, f)
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(TypeError):  # two, as GameLog takes its arrays after its fields
+        cls(*values, None, None)
+    with pytest.raises(TypeError):
+        cls(*values, extra=0)
+    if fields:
+        with pytest.raises(TypeError):  # a field given twice
+            cls(*values, **{fields[0]: values[0]})
+        if fields[0] not in cls._defaults:
+            with pytest.raises(TypeError):  # a field left out
+                cls(**dict(zip(fields[1:], values[1:])))
+
+
+def test_goal_is_one_object_named_goal():
+    assert _Goal() is GOAL and repr(GOAL) == "GOAL"
+
+
 # --- generator ----------------------------------------------------------
 
 def test_generator_deterministic():
@@ -215,6 +278,11 @@ def test_generator_hockey_500_events_validates():
 def test_generator_rejects_tiny_rosters():
     with pytest.raises(ValueError):
         generate_random_game(Sport.BASKETBALL, 1, 10, seed=0)
+
+
+def test_generator_rejects_a_negative_event_count():
+    with pytest.raises(ValueError, match="n_events must be >= 0, got -1"):
+        generate_random_game(Sport.BASKETBALL, 4, -1, seed=0)
 
 
 def test_generator_one_on_one_has_no_pass_events():

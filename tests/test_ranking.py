@@ -10,11 +10,13 @@ from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
     EVENT_SPECS, GOAL, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
 )
-from playrank.pipeline import analyze_game, build_digraph, solve_stationary
+from playrank.pipeline import (
+    SolverDisagreement, analyze_game, build_digraph, solve_stationary,
+)
 from playrank.ranking import (
-    CorruptedGraphError, NonConvergenceError, PlayDigraph, TransitionMatrix,
-    apply_events, check_primitive, init_digraph, stationary_direct,
-    stationary_power, to_transition,
+    CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
+    SingularSystemError, TransitionMatrix, apply_events, check_primitive,
+    init_digraph, stationary_direct, stationary_power, to_transition,
 )
 from playrank.synth import generate_random_game
 
@@ -152,12 +154,12 @@ def test_row_sums_exactly_one_and_monotone(log):
 
 def test_initialized_graphs_are_primitive_with_witness_two():
     t = to_transition(init_digraph(_rosters(5, 4)))
-    assert check_primitive(t) == (True, 2)
+    assert check_primitive(t) == 2
 
 
 def test_demo_graph_witness_two():
     t = to_transition(build_digraph(build_demo_log()))
-    assert check_primitive(t) == (True, 2)
+    assert check_primitive(t) == 2
 
 
 def test_identity_pattern_is_not_primitive():
@@ -184,8 +186,8 @@ def _smallest_witness(counts):
     k = len(pattern)
     for m in range(1, (k - 1) ** 2 + 2):
         if np.linalg.matrix_power(pattern, m).all():
-            return True, m
-    return False, None
+            return m
+    return None
 
 
 @st.composite
@@ -223,14 +225,14 @@ def test_hubless_cycle_with_chord_needs_the_wielandt_walk(k):
     assert not _has_hub(counts)
     with pytest.raises(CorruptedGraphError):
         check_primitive(_pattern_matrix(counts))
-    assert _smallest_witness(counts) == (True, (k - 1) ** 2 + 1)
+    assert _smallest_witness(counts) == (k - 1) ** 2 + 1
 
 
 @settings(max_examples=40, deadline=None)
 @given(log=games)
 def test_every_game_graph_has_witness_two(log):
     t = to_transition(build_digraph(log))
-    assert check_primitive(t) == (True, 2)
+    assert check_primitive(t) == 2
 
 
 # --- stationary solvers ----------------------------------------------------
@@ -337,6 +339,38 @@ def test_rank_is_permutation_equivariant(log, seed):
     perm = stationary_direct(to_transition(build_digraph(permuted_log)))
     for node, rank in zip(perm.nodes[:-1], perm.player_ranks):
         assert abs(by_id[node] - rank) <= 1e-9
+
+
+def test_solve_stationary_rejects_an_unknown_solver():
+    t = to_transition(init_digraph(_rosters(1, 1)))
+    with pytest.raises(ValueError, match="unknown solver 'bogus'"):
+        solve_stationary(t, "bogus")
+
+
+def test_solvers_that_disagree_raise(monkeypatch):
+    t = to_transition(build_digraph(build_demo_log()))
+    real = stationary_direct(t)
+    shift = np.zeros(t.size)
+    shift[:2] = 1e-6, -1e-6
+    perturbed = RankVector(real.nodes, real.values + shift, real.residual, "direct")
+    monkeypatch.setattr("playrank.pipeline.stationary_direct", lambda t: perturbed)
+    with pytest.raises(SolverDisagreement, match=r"solvers disagree by 1\.000e-06"):
+        solve_stationary(t, "both")
+
+
+def test_direct_solve_of_a_singular_system_raises():
+    # T = I: (T^t - I) is zero, so with the normalization row it has rank 1
+    with pytest.raises(SingularSystemError, match="direct solve failed"):
+        stationary_direct(_pattern_matrix(np.eye(3, dtype=np.int64)))
+
+
+def test_direct_solve_with_a_negative_entry_raises(monkeypatch):
+    t = to_transition(build_digraph(build_demo_log()))
+    negative = np.full(t.size, 1.0 / (t.size - 2))
+    negative[0] = -negative[0]
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: negative)
+    with pytest.raises(SingularSystemError, match="invalid stationary vector"):
+        stationary_direct(t)
 
 
 # --- exact oracle and the direct fallback ----------------------------------
