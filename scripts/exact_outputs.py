@@ -15,7 +15,9 @@ fields out of range, and one event object per schema fault.  Then the
 Each line names the input, then gives the SHA-256 of the digraph's arc
 ``counts``, of the report in ``json``, ``table`` and ``csv``, of the
 ``validate_game`` list and of the parse ``error`` text; "-" marks a stage
-that did not run (a parse error, or a log with violations).
+that did not run (a parse error, or a log with violations).  ``api`` digests
+the same log rebuilt from its event objects, ``GameLog(sport, teams,
+events, metadata)``: its violations and, when it has none, its arc counts.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402  (the benchmark's generator, read only)
 
 from playrank import (  # noqa: E402
-    PlayscriptError, RankingError, SchemaError, Sport, analyze_game,
-    generate_random_game, parse_gamelog, parse_playscript, render_gamelog,
-    render_report, validate_game,
+    GameLog, PlayscriptError, RankingError, SchemaError, Sport, analyze_game,
+    build_digraph, generate_random_game, parse_gamelog, parse_playscript,
+    render_gamelog, render_report, validate_game,
 )
 
-FIELDS = ("counts", "json", "table", "csv", "violations", "error")
+FIELDS = ("counts", "json", "table", "csv", "violations", "error", "api")
 SYNTH_SEEDS = range(21)
 
 # One schema fault per entry, applied to a copy of one event object.
@@ -63,6 +65,18 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
+def _counts(counts) -> bytes:
+    return f"{counts.shape}{counts.dtype}".encode() + counts.tobytes()
+
+
+def _api_digest(log) -> str:
+    """Violations and, when clean, arc counts of ``log`` rebuilt from its objects."""
+    api = GameLog(log.sport, log.teams, log.events, log.metadata)
+    violations = validate_game(api)
+    text = "\n".join(map(str, violations)).encode()
+    return _sha(text if violations else text + _counts(build_digraph(api).counts))
+
+
 def digest(text: str, fmt: str) -> dict[str, str]:
     """The digests of one input document; "-" for the stages not reached."""
     out = dict.fromkeys(FIELDS, "-")
@@ -71,6 +85,7 @@ def digest(text: str, fmt: str) -> dict[str, str]:
     except (SchemaError, PlayscriptError) as exc:
         out["error"] = _sha(f"{type(exc).__name__}: {exc}")
         return out
+    out["api"] = _api_digest(log)
     violations = validate_game(log)
     out["violations"] = _sha("\n".join(map(str, violations)))
     if violations:
@@ -80,8 +95,7 @@ def digest(text: str, fmt: str) -> dict[str, str]:
     except RankingError as exc:
         out["error"] = _sha(f"{type(exc).__name__}: {exc}")
         return out
-    counts = analysis.digraph.counts
-    out["counts"] = _sha(f"{counts.shape}{counts.dtype}".encode() + counts.tobytes())
+    out["counts"] = _sha(_counts(analysis.digraph.counts))
     for fmt in ("json", "table", "csv"):
         out[fmt] = _sha(render_report(analysis.report, analysis.teams, fmt))
     return out

@@ -23,7 +23,8 @@ from .pipeline import (
 )
 from .playscript import PlayscriptError, parse_playscript
 from .ranking import POWER_MAX_ITERS, POWER_TOL, RankingError
-from .render import MATRIX_FORMS, render_comparison, render_matrix, render_report
+from .render import (COMPARISON_FORMATS, MATRIX_FORMS, REPORT_FORMATS, render_comparison,
+                     render_matrix, render_report)
 from .synth import generate_random_game
 
 EXIT_OK = 0
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", parents=[in_opts, out_opts, solver_opts],
                        help="rank one game's players by IPM")
     p.add_argument("game")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("matrix", parents=[in_opts, out_opts],
@@ -238,13 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rank many games; write reports plus a summary CSV")
     p.add_argument("games", nargs="+")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("compare", parents=[in_opts, out_opts, solver_opts],
                        help="compare player IPMs across games")
     p.add_argument("games", nargs="+")
-    p.add_argument("--format", choices=("table", "csv"), default="table")
+    p.add_argument("--format", choices=COMPARISON_FORMATS, default="table")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("synth", parents=[out_opts],

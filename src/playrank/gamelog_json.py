@@ -181,7 +181,7 @@ def parse_gamelog(text: str) -> GameLog:
                                for k in ("date", "final_score") if k in mobj})
 
     events = _as(list, _require(doc, "events", "$"), "$.events")
-    return GameLog(sport, rosters, None, metadata, _parse_events(events, sport, rosters))
+    return GameLog(sport, rosters, _parse_events(events, sport, rosters), metadata)
 
 
 def _event_to_obj(ev: Event, sport: Sport) -> dict:

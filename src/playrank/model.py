@@ -22,7 +22,6 @@ id on neither roster is appended from n up, for validation to report.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple, Sequence, Union
 
@@ -245,20 +244,18 @@ Event = Union[tuple(spec.cls for spec in EVENT_SPECS)]
 # Event columns
 # ---------------------------------------------------------------------------
 
-# An event's kind is its row in EVENT_SPECS; an object with no row (only an
-# API-built log can hold one) is UNKNOWN_KIND.
+# An event's kind is its row in EVENT_SPECS.
 KIND_OF: dict[type, int] = {spec.cls: k for k, spec in enumerate(EVENT_SPECS)}
-UNKNOWN_KIND = len(EVENT_SPECS)
 
 
 def kind_table(sport: Sport) -> np.ndarray:
     """What validation and the digraph read of each kind in ``sport``: a
-    column per kind (the EVENT_SPECS rows, then UNKNOWN_KIND) and the rows
-    legal (0 or 1), pair (0 none, 1 teammates, 2 opponents), lo and hi (the
-    integer field's bounds; 1..1 where the sport carries none), src and dst
-    (the arc's ends: 0 first role, 1 second, 2 goal), by_field and constant
-    (its weight: the integer field where by_field, else constant, 0 for a
-    dead ball, which adds no arc)."""
+    column per kind (its EVENT_SPECS row) and the rows legal (0 or 1), pair
+    (0 none, 1 teammates, 2 opponents), lo and hi (the integer field's
+    bounds; 1..1 where the sport carries none), src and dst (the arc's ends:
+    0 first role, 1 second, 2 goal), by_field and constant (its weight: the
+    integer field where by_field, else constant, 0 for a dead ball, which
+    adds no arc)."""
     out = []
     for spec in EVENT_SPECS:
         src, dst, weight = spec.sports.get(sport, (None,))[0] or (GOAL, GOAL, 0)
@@ -266,7 +263,7 @@ def kind_table(sport: Sport) -> np.ndarray:
                     *next((spec.ints[f] for f in spec.wire_ints(sport)), (1, 1)),
                     *(2 if end is GOAL else spec.roles.index(end) for end in (src, dst)),
                     *((1, 0) if isinstance(weight, str) else (0, weight))))
-    return np.array(out + [(0, 0, 1, 1, 2, 2, 0, 0)]).T
+    return np.array(out).T
 
 
 KIND_TABLE: dict[Sport, np.ndarray] = {sport: kind_table(sport) for sport in Sport}
@@ -327,7 +324,7 @@ class EventArrays(NamedTuple):
         odd = {}
         for k, rows in zip(present.tolist(), np.split(order, starts)):
             group = list(map(items.__getitem__, rows.tolist()))
-            spec = EVENT_SPECS[k] if k < UNKNOWN_KIND else EventSpec(None, "", (), None, {}, {})
+            spec = EVENT_SPECS[k]
             for part, f in zip(parts, (*spec.roles, None, None)):
                 part.append(np.fromiter(map(index.__getitem__, map(getter(f), group)), np.intp,
                                         len(group)) if f else np.full(len(group), -1))
@@ -400,34 +397,29 @@ _NO_METADATA = GameMetadata()
 
 
 class GameLog(Record):
-    """One game.  The events are held as EventArrays (``arrays``), and
-    ``events`` is the tuple of event objects.  A parsed log builds the
-    objects from its arrays on first use; a log built from event objects
-    builds its arrays from them on first use."""
+    """One game.  ``events`` is an EventArrays, as the parsers and the
+    generator pass, or event objects, read into one; ``arrays`` holds it,
+    and the ``events`` property rebuilds the objects from it on each call.
+    An object that is no event type, or a role that cannot be hashed, is a
+    TypeError here."""
 
-    __slots__ = ("sport", "teams", "metadata", "_events", "_arrays")
+    __slots__ = ("sport", "teams", "metadata", "arrays")
     _fields = ("sport", "teams", "events", "metadata")
 
-    def __init__(self, sport: Sport, teams, events, metadata: GameMetadata = _NO_METADATA,
-                 arrays: EventArrays | None = None):
-        """``events`` may be None when ``arrays`` is given, as the parsers do."""
-        values = (sport, tuple(teams), metadata, None if events is None else tuple(events), arrays)
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, sport: Sport, teams, events, metadata: GameMetadata = _NO_METADATA):
+        teams = tuple(teams)
+        if not isinstance(events, EventArrays):
+            events = tuple(events)
+            kind = list(map(KIND_OF.get, map(type, events)))
+            if None in kind:
+                raise TypeError(f"{events[kind.index(None)]!r} is not an event")
+            events = EventArrays.read(events, np.array(kind, np.intp), teams)
+        for name, value in zip(self.__slots__, (sport, teams, metadata, events)):
             _set(self, name, value)
 
     @property
     def events(self) -> tuple[Event, ...]:
-        if self._events is None:
-            _set(self, "_events", self._arrays.to_events())
-        return self._events
-
-    @property
-    def arrays(self) -> EventArrays:
-        if self._arrays is None:
-            kind = np.fromiter(map(KIND_OF.get, map(type, self._events), repeat(UNKNOWN_KIND)),
-                               np.intp, len(self._events))
-            _set(self, "_arrays", EventArrays.read(self._events, kind, self.teams))
-        return self._arrays
+        return self.arrays.to_events()
 
     @property
     def n_players(self) -> int:
@@ -486,13 +478,11 @@ def validate_game(log: GameLog) -> list[Violation]:
     bad_int = checked & ((weight < lo) | (weight > hi))
 
     for i in np.flatnonzero(~checked | wrong_sides | bad_int).tolist():
-        if illegal[i]:
-            out.append(Violation(i, f"unknown event type {type(log.events[i]).__name__}"
-                                 if kind[i] == UNKNOWN_KIND
-                                 else f"{EVENT_SPECS[kind[i]].name} is not a {sport.value} event"))
-            continue
         spec = EVENT_SPECS[kind[i]]
         name = spec.name
+        if illegal[i]:
+            out.append(Violation(i, f"{name} is not a {sport.value} event"))
+            continue
         if unknown[i]:
             out += [Violation(i, f"{name} references unknown player '{arr.ids[col[i]]}'")
                     for col, side in ((a, ta), (b, tb)) if side[i] == 2]

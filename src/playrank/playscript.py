@@ -20,14 +20,14 @@ JSON format.
 from __future__ import annotations
 
 from .model import (
-    KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, RosterPlayer,
+    EVENT_SPECS, KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, RosterPlayer,
     Score, Sport, UnforcedTurnover,
 )
 
 _PASS, _STEAL, _LOST, _SCORE = (
     KIND_OF[cls] for cls in (Pass, Dispossess, UnforcedTurnover, Score))
 _SEPARATOR = "->"
-MAX_POINTS = 4
+_MIN_POINTS, _MAX_POINTS = EVENT_SPECS[_SCORE].ints["points"]
 
 
 class PlayscriptError(Exception):
@@ -131,10 +131,10 @@ def parse_playscript(text: str) -> GameLog:
                 if token != "G":
                     digits = token[2:]
                     if not (digits.isascii() and digits.isdigit()
-                            and 1 <= int(digits) <= MAX_POINTS):
+                            and _MIN_POINTS <= int(digits) <= _MAX_POINTS):
                         raise PlayscriptError(
-                            "unknown-token", lineno, col,
-                            f"bad score token {token!r} (use G or G:1..G:{MAX_POINTS})")
+                            "unknown-token", lineno, col, f"bad score token {token!r} "
+                            f"(use G or G:{_MIN_POINTS}..G:{_MAX_POINTS})")
                     points = int(digits)
                 if prev is None:
                     raise PlayscriptError("unknown-token", lineno, col,
@@ -158,5 +158,4 @@ def parse_playscript(text: str) -> GameLog:
                 raise PlayscriptError("unknown-token", lineno, col,
                                       f"unrecognized token {token!r}")
 
-    return GameLog(Sport.BASKETBALL, rosters, None,
-                   arrays=EventArrays.from_rows(events, tuple(node)))
+    return GameLog(Sport.BASKETBALL, rosters, EventArrays.from_rows(events, tuple(node)))

@@ -18,6 +18,7 @@ from .model import GOAL
 from .ranking import PlayDigraph, to_transition
 
 REPORT_FORMATS = ("table", "csv", "json")
+COMPARISON_FORMATS = ("table", "csv")
 MATRIX_FORMS = ("adjacency", "row-stochastic", "column-stochastic")
 
 # A player object of a JSON report as json.dumps(indent=2) lays it out, and
@@ -122,4 +123,4 @@ def render_comparison(table: CrossGameTable, fmt: str = "table") -> str:
         for r in table.rows:
             w.writerow(cells(r))
         return buf.getvalue()
-    raise ValueError(f"unknown comparison format {fmt!r} (use 'table' or 'csv')")
+    raise ValueError(f"unknown comparison format {fmt!r} (use one of {COMPARISON_FORMATS})")

@@ -89,5 +89,5 @@ def generate_random_game(
         ints = [rng.randint(lo, hi) for lo, hi in bounds]
         rows.append((kind, first, second, ints[0] if ints else 1))
 
-    return GameLog(sport, (home, away), None,
-                   arrays=EventArrays.from_rows(rows, home.player_ids + away.player_ids))
+    return GameLog(sport, (home, away),
+                   EventArrays.from_rows(rows, home.player_ids + away.player_ids))

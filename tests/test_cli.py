@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from playrank.model import MAX_PLAYERS
 from playrank.pipeline import parse_game_text
 from playrank.playscript import PlayscriptError
 from playrank.ranking import SingularSystemError
+from playrank.render import COMPARISON_FORMATS, REPORT_FORMATS
 
 from golden import DEMO_ADJACENCY
 
@@ -315,6 +317,14 @@ def test_compare_requires_two_games(capsys, demo_playscript_path):
     code, _, err = run(capsys, "compare", str(demo_playscript_path))
     assert code == 64
     assert "two games" in err
+
+
+@pytest.mark.parametrize("command, formats", [
+    ("rank", REPORT_FORMATS), ("batch", REPORT_FORMATS), ("compare", COMPARISON_FORMATS)])
+def test_format_offers_the_renderers_tuple(command, formats):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert next(a for a in sub.choices[command]._actions if a.dest == "format").choices is formats
 
 
 def test_compare_csv(capsys, tmp_path, demo_playscript_path):

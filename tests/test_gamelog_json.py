@@ -157,6 +157,16 @@ def test_render_rejects_unencodable_soccer_score():
         render_gamelog(log)
 
 
+@pytest.mark.parametrize("sport", [Sport.SOCCER, Sport.HOCKEY])
+def test_render_names_the_unencodable_score(sport):
+    log = GameLog(sport, (Roster("X", (RosterPlayer("A"),)), Roster("Y", (RosterPlayer("B"),))),
+                  (Score("A", 2),))
+    message = f"cannot encode a {sport.value} score worth 2; validate the log first"
+    with pytest.raises(ValueError) as info:
+        render_gamelog(log)
+    assert str(info.value) == message
+
+
 def test_demo_json_twin_round_trips(demo_json_path):
     text = demo_json_path.read_text(encoding="utf-8")
     log = parse_gamelog(text)

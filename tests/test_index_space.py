@@ -16,8 +16,8 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import SchemaError, parse_gamelog, render_gamelog
 from playrank.model import (
-    KIND_OF, Dispossess, GameLog, Pass, Roster, RosterPlayer, Score, Sport,
-    Stoppage, Touch, UnforcedTurnover, validate_game,
+    KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, RosterPlayer, Score,
+    Sport, Stoppage, Touch, UnforcedTurnover, validate_game,
 )
 from playrank.pipeline import build_digraph
 from playrank.playscript import parse_playscript
@@ -199,3 +199,49 @@ def test_apply_events_refuses_an_appended_node(event):
         apply_events(g, log)
     assert np.array_equal(g.counts, before)
     assert g.counts[n].tolist() == [1] * (n + 1) and g.counts[:, n].tolist() == [1] * (n + 1)
+
+
+# --- one way in: GameLog(sport, teams, events, metadata) --------------------
+
+ROSTERS = (Roster("Home", (RosterPlayer("H1"), RosterPlayer("H2"))),
+           Roster("Away", (RosterPlayer("A1"), RosterPlayer("A2"))))
+
+
+def test_an_object_that_is_no_event_is_a_type_error_naming_it():
+    stranger = object()
+    with pytest.raises(TypeError, match=f"{stranger!r} is not an event"):
+        GameLog(Sport.BASKETBALL, ROSTERS, [Pass("H1", "H2"), stranger])
+
+
+def test_an_unhashable_role_fails_in_the_constructor():
+    with pytest.raises(TypeError, match="unhashable"):
+        GameLog(Sport.BASKETBALL, ROSTERS, [Pass("A", ["B"])])
+
+
+PRODUCERS = {
+    "json": lambda: parse_gamelog(json.dumps(BASE)),
+    "playscript": lambda: parse_playscript("#team R a b\n#team B c d\na -> b -> c -> G:2\n"),
+    "synth": lambda: generate_random_game(Sport.HOCKEY, 6, 30, seed=3),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_a_produced_log_holds_the_columns_its_producer_built(producer, monkeypatch):
+    built = []
+    for name in ("read", "from_rows"):
+        def spy(cls, *args, make=getattr(EventArrays, name), **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(EventArrays, name, classmethod(spy))
+    log = PRODUCERS[producer]()
+    assert len(built) == 1 and log.arrays is built[0]
+
+
+def test_event_objects_come_back_as_they_went_in():
+    objs = (Pass("H1", "H2"), Score("H1", 2.5), Score("A1", "2"), Score("H2", 2**70),
+            Touch(7), Dispossess("A1", None), Pass("H2", "ghost"))
+    log = GameLog(Sport.BASKETBALL, ROSTERS, iter(objs))
+    assert log.events == objs
+    assert [str(v) for v in validate_game(log)][:2] == [
+        "event 1: score needs points to be an integer, got 2.5",
+        "event 2: score needs points to be an integer, got '2'"]

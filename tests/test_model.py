@@ -238,7 +238,9 @@ def test_records_keep_their_documented_contract(record, text):
         with pytest.raises(AttributeError):
             delattr(record, f)
     assert pickle.loads(pickle.dumps(record)) == record
-    with pytest.raises(TypeError):  # two, as GameLog takes its arrays after its fields
+    with pytest.raises(TypeError):  # one value past the fields
+        cls(*values, None)
+    with pytest.raises(TypeError):
         cls(*values, None, None)
     with pytest.raises(TypeError):
         cls(*values, extra=0)

@@ -93,6 +93,10 @@ def test_score_out_of_range():
     assert (err.line, err.column) == (3, 6)
 
 
+def test_score_range_message_names_the_score_rows_bounds():
+    assert _err(HEADER + "A -> G:5\n").message == "bad score token 'G:5' (use G or G:1..G:4)"
+
+
 @pytest.mark.parametrize("token", ["G:\u00b2", "G:\u0663", "G:x", "G:", "G:0", "G:-1"])
 def test_score_needs_ascii_points_1_to_4(token):
     err = _err(HEADER + f"A -> {token}\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -13,7 +14,9 @@ from playrank.metrics import (
 from playrank.model import GameLog, GameMetadata, Roster, RosterPlayer, Sport
 from playrank.pipeline import analyze_game, build_digraph
 from playrank.ranking import init_digraph, stationary_direct, to_transition
-from playrank.render import render_comparison, render_matrix, render_report
+from playrank.render import (
+    COMPARISON_FORMATS, render_comparison, render_matrix, render_report,
+)
 
 from golden import DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, build_demo_log
 
@@ -155,6 +158,13 @@ def test_unknown_format_rejected():
         render_matrix(build_digraph(build_demo_log()), "hermitian")
     with pytest.raises(ValueError):
         render_comparison(compare_games({"g": report}), "xml")
+
+
+def test_comparison_error_names_the_comparison_formats():
+    table = compare_games({"g": _report(build_demo_log())[0]})
+    assert all(render_comparison(table, fmt) for fmt in COMPARISON_FORMATS)
+    with pytest.raises(ValueError, match=re.escape(f"(use one of {COMPARISON_FORMATS})")):
+        render_comparison(table, "json")
 
 
 def test_adjacency_dump_matches_reference():
