@@ -18,6 +18,12 @@ Each line names the input, then gives the SHA-256 of the digraph's arc
 that did not run (a parse error, or a log with violations).  ``api`` digests
 the same log rebuilt from its event objects, ``GameLog(sport, teams,
 events, metadata)``: its violations and, when it has none, its arc counts.
+
+After each seed's inputs come its comparison lines: one per ``season``
+round of 24 games, in order, and one for the ``wide_roster`` set.  Each
+gives the SHA-256 of ``render_comparison`` of the round's ``compare_games``
+table as ``table`` and as ``csv``, and of the ``repr`` of every row's mean,
+one per line, as ``means``.
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ import gen  # noqa: E402  (the benchmark's generator, read only)
 
 from playrank import (  # noqa: E402
     GameLog, PlayscriptError, RankingError, SchemaError, Sport, analyze_game,
-    build_digraph, generate_random_game, parse_gamelog, parse_playscript,
-    render_gamelog, render_report, validate_game,
+    build_digraph, compare_games, generate_random_game, parse_gamelog,
+    parse_playscript, render_comparison, render_gamelog, render_report,
+    validate_game,
 )
 
 FIELDS = ("counts", "json", "table", "csv", "violations", "error", "api")
+ROUND = 24  # season games per comparison, as the benchmark's rounds
 SYNTH_SEEDS = range(21)
 
 # One schema fault per entry, applied to a copy of one event object.
@@ -151,6 +159,22 @@ def inputs(seed: int, games: int):
             yield name, json.dumps(doc), "json"
 
 
+def comparisons(seed: int, games: int):
+    """(name, digests) of the comparison of each ``season`` round of
+    ``ROUND`` games and of the ``wide_roster`` set of one seed."""
+    season = gen.season(seed, games=games)
+    rounds = [(f"s{seed}/compare/season{i // ROUND}", season[i:i + ROUND])
+              for i in range(0, len(season), ROUND)]
+    rounds.append((f"s{seed}/compare/wide_roster", gen.wide_roster(seed, games=max(1, games // 10))))
+    for name, group in rounds:
+        table = compare_games({g.gid: analyze_game(parse_gamelog(g.text)).report for g in group})
+        yield name, {
+            "table": _sha(render_comparison(table, "table")),
+            "csv": _sha(render_comparison(table, "csv")),
+            "means": _sha("\n".join(repr(row.mean) for row in table.rows)),
+        }
+
+
 def synth_inputs():
     for seed in SYNTH_SEEDS:
         for sport in Sport:
@@ -167,6 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     for seed in args.seeds:
         for name, text, fmt in inputs(seed, args.games):
             print(name, *(f"{k}={v}" for k, v in digest(text, fmt).items()))
+        for name, digests in comparisons(seed, args.games):
+            print(name, *(f"{k}={v}" for k, v in digests.items()))
     for name, text in synth_inputs():
         print(name, f"synth={_sha(text)}", *(f"{k}={v}" for k, v in digest(text, "json").items()))
     return 0

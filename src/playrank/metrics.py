@@ -25,8 +25,9 @@ checks:
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, groupby, repeat
-from operator import attrgetter
+from collections import defaultdict
+from itertools import compress, groupby, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .model import GameMetadata, Roster
@@ -214,22 +215,23 @@ def compare_games(reports: Mapping[str, IpmReport]) -> CrossGameTable:
     """Join reports on player id for cross-game comparison.
 
     Players missing from a game keep a None cell there (never zero); the
-    mean is over the games they actually appear in.  Rows are sorted by mean
-    IPM descending.
+    mean is over the games they actually appear in, summed in game order.
+    Rows are sorted by mean IPM descending, ties by player id.  The join
+    visits each report entry once, so its Python work grows with the IPMs
+    given, not with players × games.
     """
     if not reports:
         raise ValueError("compare_games needs at least one report")
-    game_ids = tuple(reports.keys())
-    # reversed, so the first occurrence of a repeated id wins
-    ipm_by_game = {
-        gid: {p.player: p.ipm for p in reversed(report.players)}
-        for gid, report in reports.items()
-    }
-    rows = []
-    # each player once, first seen game by game; the sort below fixes the row order
-    for pid in dict.fromkeys(chain.from_iterable(ipm_by_game.values())):
-        ipms = {gid: by_id.get(pid) for gid, by_id in ipm_by_game.items()}
-        present = [v for v in ipms.values() if v is not None]
-        rows.append(CrossGameRow(pid, ipms, sum(present) / len(present)))
-    rows.sort(key=lambda r: (-r.mean, r.player))
+    game_ids = tuple(reports)
+    # one pass over the entries: player -> {game: ipm}, filled game by game,
+    # each report reversed so the first occurrence of a repeated id wins
+    cells: defaultdict[str, dict[str, float]] = defaultdict(dict)
+    for gid, report in reports.items():
+        for p in reversed(report.players):
+            cells[p.player][gid] = p.ipm
+    blank = dict.fromkeys(game_ids)  # `blank | got` keeps game order, None where absent
+    rows = [tuple.__new__(CrossGameRow, (pid, blank | got, sum(got.values()) / len(got)))
+            for pid, got in cells.items()]
+    rows.sort(key=itemgetter(0))  # then stably by mean descending: the order (-mean, player)
+    rows.sort(key=itemgetter(2), reverse=True)
     return CrossGameTable(game_ids=game_ids, rows=tuple(rows))

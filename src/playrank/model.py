@@ -421,6 +421,25 @@ class GameLog(Record):
     def events(self) -> tuple[Event, ...]:
         return self.arrays.to_events()
 
+    # ==, hash and pickle read the columns, never the event objects
+    def _key(self) -> tuple:
+        arr = self.arrays
+        return self.sport, self.teams, self.metadata, arr.ids, arr.odd
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key() and all(
+            map(np.array_equal, self.arrays[:4], other.arrays[:4]))
+
+    def __hash__(self) -> int:
+        *key, odd = self._key()
+        return hash((*key, frozenset(odd.items()),
+                     *(np.asarray(col, np.int64).tobytes() for col in self.arrays[:4])))
+
+    def __reduce__(self):
+        return type(self), (self.sport, self.teams, self.arrays, self.metadata)
+
     @property
     def n_players(self) -> int:
         return len(self.teams[0].players) + len(self.teams[1].players)

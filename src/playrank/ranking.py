@@ -228,7 +228,8 @@ def stationary_direct(t: TransitionMatrix) -> RankVector:
     power route, so the two can cross-check each other.
     """
     k = t.size
-    a = t.floats.T - np.eye(k)
+    a = t.floats.T.copy(order="K")  # F-ordered, as LAPACK takes it; no k x k identity
+    a[np.diag_indices(k)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(k)
     b[-1] = 1.0

@@ -341,3 +341,53 @@ def test_compare_matches_reference_scan_on_wide_rosters():
     assert any(None in r.ipms.values() for r in table.rows)
     means = [r.mean for r in table.rows]
     assert len(set(means)) < len(means)  # tied means exercise the id tiebreak
+
+
+def _league_round(rng, teams=24, size=12, games=24):
+    """A season-shaped round: each game pairs two teams of a 24-team pool,
+    so a player has an IPM in about 2 of the 24 games."""
+    pool = [[f"t{t:02d}p{i:02d}" for i in range(size)] for t in range(teams)]
+    reports = {}
+    for g in range(games):
+        home, away = rng.sample(range(teams), 2)
+        players = tuple(PlayerIpm(pid, pid, f"T{t}", False, 0.0, rng.uniform(5.0, 150.0))
+                        for t in (home, away) for pid in pool[t])
+        reports[f"r1g{g:02d}"] = IpmReport(
+            n=len(players), goal_rank=0.5, residual=0.0, method="power", players=players,
+            standings=tuple(sorted(players, key=lambda p: -p.ipm)))
+    return reports
+
+
+def test_compare_sparse_league_round_matches_reference_scan():
+    reports = _league_round(random.Random(14))
+    table = compare_games(reports)
+    reference = _reference_compare(reports)
+    assert table == reference
+    assert [r.mean.hex() for r in table.rows] == [r.mean.hex() for r in reference.rows]
+    assert all(list(r.ipms) == list(reports) for r in table.rows)  # game order, every game
+    cells = [v for r in table.rows for v in r.ipms.values()]
+    assert cells.count(None) > 0.8 * len(cells)
+    assert sum(v is not None for v in cells) == 24 * 24
+
+
+def test_compare_player_first_seen_late_keeps_game_order():
+    early = _report_for(build_demo_log())
+    reds = Roster("Reds", (RosterPlayer("C"), RosterPlayer("late")))
+    blues = Roster("Blues", (RosterPlayer("Y"), RosterPlayer("Z")))
+    later = _report_for(GameLog(Sport.BASKETBALL, (reds, blues), (Score("late", 2),)))
+    table = compare_games({"g1": early, "g2": early, "g3": later})
+    row = next(r for r in table.rows if r.player == "late")
+    assert list(row.ipms) == ["g1", "g2", "g3"]
+    assert row.ipms["g1"] is None and row.ipms["g2"] is None
+    assert row.mean == row.ipms["g3"] == next(p.ipm for p in later.players if p.player == "late")
+
+
+def test_compare_repeated_id_in_one_game_keeps_its_first_ipm():
+    reports = {f"g{g}": _fake_report(random.Random(g), [f"p{i:03d}" for i in range(150)])
+               for g in range(3)}
+    table = compare_games(reports)
+    for gid, report in reports.items():
+        first, repeat = (p for p in report.players if p.player == report.players[0].player)
+        assert repeat.ipm == 99.0 != first.ipm
+        row = next(r for r in table.rows if r.player == first.player)
+        assert row.ipms[gid] == first.ipm

@@ -252,6 +252,40 @@ def test_records_keep_their_documented_contract(record, text):
                 cls(**dict(zip(fields[1:], values[1:])))
 
 
+def _parsed_with_a_ghost():
+    """A parsed 300-event log plus one pass to an id on neither roster."""
+    log = generate_random_game(Sport.HOCKEY, 10, 300, seed=4)
+    doc = render_gamelog(log).replace('"events": [', '"events": [{"type": "pass", '
+                                      '"passer": "H1", "receiver": "ghost"}, ', 1)
+    return parse_gamelog(doc)
+
+
+def test_gamelog_eq_hash_and_pickle_read_the_columns_only(monkeypatch):
+    log = _parsed_with_a_ghost()
+    twin = GameLog(log.sport, log.teams, log.events, log.metadata)  # rebuilt from objects
+    assert "ghost" in log.arrays.ids
+
+    def no_objects(self):
+        raise AssertionError("built the event objects")
+
+    monkeypatch.setattr(type(log.arrays), "to_events", no_objects)
+    assert log == twin and hash(log) == hash(twin)
+    copy = pickle.loads(pickle.dumps(log))
+    assert copy == log and hash(copy) == hash(log) and copy.arrays.ids == log.arrays.ids
+    swapped = log.arrays._replace(a=log.arrays.b, b=log.arrays.a)
+    assert log != GameLog(log.sport, log.teams, swapped, log.metadata)
+    assert log != GameLog(log.sport, log.teams[::-1], log.arrays, log.metadata)
+
+
+def test_gamelogs_that_validate_differently_are_unequal():
+    # True == 1 in Python, but True is no int for the points field
+    ones, trues = (_game([Score("H1", v), Pass("H1", "H2")]) for v in (1, True))
+    assert validate_game(ones) == [] and validate_game(trues) != []
+    assert ones != trues
+    assert ones == _game([Score("H1", 1), Pass("H1", "H2")])
+    assert hash(trues) == hash(_game([Score("H1", True), Pass("H1", "H2")]))
+
+
 def test_goal_is_one_object_named_goal():
     assert _Goal() is GOAL and repr(GOAL) == "GOAL"
 

@@ -23,11 +23,16 @@ def test_rank_demo_runs():
     assert lines[-1].startswith("stationary solve: method=power, ")
 
 
-def test_exact_outputs_digests_a_small_game_and_its_mutants():
+def _exact_outputs():
     spec = importlib.util.spec_from_file_location(
         "exact_outputs", REPO_ROOT / "scripts" / "exact_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_exact_outputs_digests_a_small_game_and_its_mutants():
+    script = _exact_outputs()
     game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
     clean = script.digest(game.text, "json")
     assert list(clean) == list(script.FIELDS) and clean["error"] == "-"
@@ -40,3 +45,13 @@ def test_exact_outputs_digests_a_small_game_and_its_mutants():
     assert any(name.endswith(":role-int") for name in errors)
     assert any(name.endswith("=ghost") for name in violations)
     assert any(name.endswith("=1180591620717411303424") for name in violations)
+
+
+def test_exact_outputs_digests_each_comparison():
+    script = _exact_outputs()
+    lines = dict(script.comparisons(1, 3))
+    assert list(lines) == ["s1/compare/season0", "s1/compare/wide_roster"]
+    for digests in lines.values():
+        assert list(digests) == ["table", "csv", "means"]
+        assert all(re.fullmatch("[0-9a-f]{64}", v) for v in digests.values())
+    assert lines["s1/compare/season0"] != lines["s1/compare/wide_roster"]
