@@ -6,15 +6,20 @@ compared for exactly the same outputs.
 Run it once against each version's ``src/`` and ``diff`` the two outputs.
 The inputs are, per seed, the games ``perfbench/gen.py`` makes for the
 benchmark (``season``, ``wide_roster`` and the playscript pickup games),
-each as JSON and as playscript, plus a mutated corpus built from small
-games of that seed: one role per event replaced (by a teammate, an
-opponent, the other role's player and an id on neither roster), integer
-fields out of range, and one event object per schema fault.  Then the
-``generate_random_game`` output of seeds 0-20 in each sport.
+each as JSON and as playscript, plus mutated corpora built from small
+games of that seed.  The JSON mutants have one role per event replaced (by
+a teammate, an opponent, the other role's player and an id on neither
+roster), integer fields out of range, and one event object per schema
+fault.  The playscript mutants have one sequence token replaced, one
+inserted or one deleted (see ``PLAY_TOKENS``), and one header fault each
+(see ``_play_mutants``).  Then the ``generate_random_game`` output of seeds
+0-20 in each sport.
 
 Each line names the input, then gives the SHA-256 of the digraph's arc
-``counts``, of the report in ``json``, ``table`` and ``csv``, of the
-``validate_game`` list and of the parse ``error`` text; "-" marks a stage
+``counts``, of the report in ``json``, ``table`` and ``csv``, of the JSON
+report with ``--solver direct`` and with ``--solver both`` (which adds the
+power/direct gap), of the ``validate_game`` list and of the ``error``
+(class, ``kind`` where the error has one, and text); "-" marks a stage
 that did not run (a parse error, or a log with violations).  ``api`` digests
 the same log rebuilt from its event objects, ``GameLog(sport, teams,
 events, metadata)``: its violations and, when it has none, its arc counts.
@@ -46,7 +51,7 @@ from playrank import (  # noqa: E402
     validate_game,
 )
 
-FIELDS = ("counts", "json", "table", "csv", "violations", "error", "api")
+FIELDS = ("counts", "json", "table", "csv", "direct", "both", "violations", "error", "api")
 ROUND = 24  # season games per comparison, as the benchmark's rounds
 SYNTH_SEEDS = range(21)
 
@@ -67,6 +72,10 @@ SCHEMA_FAULTS = {
     "event-null": lambda ev, role: None,
 }
 INT_FAULTS = (0, 5, -1, 2**63 - 1, 2**63, 2**70, -2**70, True, False, 2.0, "2", None, [2])
+# Tokens a playscript mutant puts in place of, or next to, a sequence token:
+# scores in and out of range, a dead ball, blanks, an id on neither roster, punctuation.
+PLAY_TOKENS = ("G", *(f"G:{k}" for k in range(6)), "G:01", "G:", "G:x", "0", "", " \t ",
+               "ghost", "?!")
 
 
 def _sha(data: str | bytes) -> str:
@@ -85,13 +94,17 @@ def _api_digest(log) -> str:
     return _sha(text if violations else text + _counts(build_digraph(api).counts))
 
 
+def _error(exc: Exception) -> str:
+    return _sha(f"{type(exc).__name__} {getattr(exc, 'kind', '-')}: {exc}")
+
+
 def digest(text: str, fmt: str) -> dict[str, str]:
     """The digests of one input document; "-" for the stages not reached."""
     out = dict.fromkeys(FIELDS, "-")
     try:
         log = parse_gamelog(text) if fmt == "json" else parse_playscript(text)
     except (SchemaError, PlayscriptError) as exc:
-        out["error"] = _sha(f"{type(exc).__name__}: {exc}")
+        out["error"] = _error(exc)
         return out
     out["api"] = _api_digest(log)
     violations = validate_game(log)
@@ -101,11 +114,17 @@ def digest(text: str, fmt: str) -> dict[str, str]:
     try:
         analysis = analyze_game(log)
     except RankingError as exc:
-        out["error"] = _sha(f"{type(exc).__name__}: {exc}")
+        out["error"] = _error(exc)
         return out
     out["counts"] = _sha(_counts(analysis.digraph.counts))
     for fmt in ("json", "table", "csv"):
         out[fmt] = _sha(render_report(analysis.report, analysis.teams, fmt))
+    for solver in ("direct", "both"):
+        try:
+            other = analyze_game(log, solver)
+            out[solver] = _sha(render_report(other.report, other.teams, "json", other.solver_gap))
+        except RankingError as exc:
+            out[solver] = _error(exc)
     return out
 
 
@@ -148,6 +167,39 @@ def _mutants(name: str, doc: dict):
     yield f"{name}/score-with-points", mutant
 
 
+def _play_mutants(name: str, text: str):
+    """(name, document) for each single mutation of playscript ``text``:
+    each of ``PLAY_TOKENS`` in place of a sequence token or inserted before
+    one or at the line's end, each sequence token deleted, and one document
+    per header fault."""
+    lines = text.splitlines()
+    teams = [i for i, line in enumerate(lines) if line.startswith("#team ")]
+    starters = next(i for i, line in enumerate(lines) if line.startswith("#starters"))
+    first = lines[teams[0]].split()[2]
+
+    def edit(i: int, line: str) -> str:
+        return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+    for i, line in enumerate(lines):
+        if line.startswith("#"):
+            continue
+        tokens = line.split(" -> ")
+        for t in range(len(tokens) + 1):
+            head, tail = tokens[:t], tokens[t:]
+            for new in PLAY_TOKENS:
+                yield f"{name}/l{i}.t{t}+{new!r}", edit(i, " -> ".join(head + [new] + tail))
+                if tail:
+                    yield f"{name}/l{i}.t{t}={new!r}", edit(i, " -> ".join(head + [new] + tail[1:]))
+            if tail:
+                yield f"{name}/l{i}.t{t}-", edit(i, " -> ".join(head + tail[1:]))
+    yield f"{name}/third-team", text + "#team Greens X1\n"
+    yield f"{name}/team1-repeats-{first}", edit(teams[1], f"{lines[teams[1]]} {first}")
+    for pid in ("G:2", "A->B"):
+        yield f"{name}/team0-declares-{pid}", edit(teams[0], f"{lines[teams[0]]} {pid}")
+    yield f"{name}/unknown-directive", edit(starters, "#roster " + lines[starters][10:])
+    yield f"{name}/starter-ghost", edit(starters, f"{lines[starters]} ghost")
+
+
 def inputs(seed: int, games: int):
     """(name, text, format) for every input of one seed."""
     for game in (gen.season(seed, games=games) + gen.wide_roster(seed, games=max(1, games // 10))
@@ -157,6 +209,8 @@ def inputs(seed: int, games: int):
     for game in gen.season(seed, games=3, events=(10, 14), players=(6, 8)):
         for name, doc in _mutants(f"s{seed}/mut/{game.gid}", json.loads(game.text)):
             yield name, json.dumps(doc), "json"
+        for name, doc in _play_mutants(f"s{seed}/mut/{game.gid}/play", game.play_text):
+            yield name, doc, "playscript"
 
 
 def comparisons(seed: int, games: int):

@@ -7,14 +7,14 @@ Grammar (line oriented, UTF-8):
     #! free-form comment             ignored
     A -> B -> F -> G:2               play sequences
 
-Sequence tokens are declared player ids plus three specials: ``G`` (made
-basket, 1 point), ``G:k`` (made basket worth k points, 1..4) and ``0``
-(dead ball).  Adjacent player tokens become a pass when they share a team
-and a dispossession when they do not; ``0`` ends the possession (an
-unforced turnover when a player precedes it), and whatever follows a score
-or a ``0`` or starts a new line opens a fresh possession with no arc
-implied.  Richer events (fouls, rebound attribution, free throws) need the
-JSON format.
+Sequence tokens are declared player ids, which cannot contain ``->``, plus
+three specials: ``G`` (made basket, 1 point), ``G:k`` (made basket worth k
+points, 1..4, leading zeros allowed) and ``0`` (dead ball).  Adjacent player
+tokens become a pass when they share a team and a dispossession when they do
+not; ``0`` ends the possession (an unforced turnover when a player precedes
+it), and whatever follows a score or a ``0`` or starts a new line opens a
+fresh possession with no arc implied.  Richer events (fouls, rebound
+attribution, free throws) need the JSON format.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from .model import (
 _PASS, _STEAL, _LOST, _SCORE = (
     KIND_OF[cls] for cls in (Pass, Dispossess, UnforcedTurnover, Score))
 _SEPARATOR = "->"
-_MIN_POINTS, _MAX_POINTS = EVENT_SPECS[_SCORE].ints["points"]
+# Score token -> points: G, and G:k for each k within the score row's bounds.
+_POINTS = {"G": 1, **{f"G:{k}": k for low, high in [EVENT_SPECS[_SCORE].ints["points"]]
+                      for k in range(low, high + 1)}}
 
 
 class PlayscriptError(Exception):
@@ -45,18 +47,29 @@ class PlayscriptError(Exception):
         self.message = message
 
 
-def _is_reserved(token: str) -> bool:
-    return token in ("G", "0") or token.startswith("G:")
+def _points(token: str) -> int | None:
+    """The points of score token ``token`` (leading zeros allowed), else None."""
+    return _POINTS.get(token[:2] + token[2:].lstrip("0"))
 
 
-def _split_tokens(text: str):
-    """Yield (token, 1-based column) for one sequence line."""
-    pos = 0
-    for piece in text.split(_SEPARATOR):
-        token = piece.strip()
-        col = pos + len(piece) - len(piece.lstrip()) + 1
-        yield token, col
-        pos += len(piece) + len(_SEPARATOR)
+def _token_error(raw: str, lineno: int, i: int) -> PlayscriptError:
+    """The error for token ``i`` of sequence line ``raw``: a token that is no
+    roster id, no ``0`` and no score token following a player."""
+    pieces = raw.split(_SEPARATOR)
+    token = pieces[i].strip()
+    column = len(raw) - len(_SEPARATOR.join(pieces[i:]).lstrip()) + 1
+    kind = "unknown-token"
+    if token[:2] in ("G", "G:"):
+        low, high = EVENT_SPECS[_SCORE].ints["points"]
+        message = (f"score token {token!r} must follow a player" if _points(token)
+                   else f"bad score token {token!r} (use G or G:{low}..G:{high})")
+    elif not token:
+        message = "empty token"
+    elif token.isidentifier() or token.isalnum():
+        kind, message = "undeclared-player", f"player {token!r} is not on either roster"
+    else:
+        message = f"unrecognized token {token!r}"
+    return PlayscriptError(kind, lineno, column, message)
 
 
 def parse_playscript(text: str) -> GameLog:
@@ -79,30 +92,29 @@ def parse_playscript(text: str) -> GameLog:
         if not line.startswith("#") or line.startswith("#!"):
             continue
         col = raw.index("#") + 1
-        fields = line.split()
-        if fields[0] == "#team":
-            if len(teams) == 2:
-                raise PlayscriptError("malformed-header", lineno, col,
-                                      "more than two #team lines")
-            if len(fields) < 3:
-                raise PlayscriptError("malformed-header", lineno, col,
-                                      "#team needs a name and at least one player id")
-            name, ids = fields[1], fields[2:]
-            for pid in ids:
-                if _is_reserved(pid):
-                    raise PlayscriptError("malformed-header", lineno, col,
-                                          f"player id {pid!r} collides with a reserved token")
-                if pid in node:
-                    raise PlayscriptError("malformed-header", lineno, col,
-                                          f"player id {pid!r} declared twice")
-                node[pid] = len(node)
-            teams.append((name, ids))
-        elif fields[0] == "#starters":
-            for pid in fields[1:]:
+        directive, *fields = line.split()
+        if directive == "#starters":
+            for pid in fields:
                 starters.setdefault(pid, (lineno, col))
+            continue
+        if directive != "#team":
+            problem = f"unknown directive {directive!r}"
+        elif len(teams) == 2:
+            problem = "more than two #team lines"
+        elif len(fields) < 2:
+            problem = "#team needs a name and at least one player id"
         else:
-            raise PlayscriptError("malformed-header", lineno, col,
-                                  f"unknown directive {fields[0]!r}")
+            for pid in fields[1:]:
+                problem = (f"player id {pid!r} collides with a reserved token"
+                           if pid in ("G", "0") or pid.startswith("G:")
+                           else f"player id {pid!r} contains {_SEPARATOR!r}" if _SEPARATOR in pid
+                           else f"player id {pid!r} declared twice" if pid in node else None)
+                if problem:
+                    break
+                node[pid] = len(node)
+            teams.append((fields[0], fields[1:]))
+        if problem:
+            raise PlayscriptError("malformed-header", lineno, col, problem)
 
     if len(teams) != 2:
         raise PlayscriptError("malformed-header", len(lines) + 1, 1,
@@ -114,48 +126,31 @@ def parse_playscript(text: str) -> GameLog:
     rosters = [Roster(name, (RosterPlayer(pid, pid, pid in starters) for pid in ids))
                for name, ids in teams]
 
-    # Sequence pass.
+    # Sequence pass: one roster lookup per token; _token_error explains a refusal.
     n_home = len(teams[0][1])
+    node_of = node.get
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         prev: int | None = None  # node carrying the ball, None = dead ball
-        for token, col in _split_tokens(raw):
-            if token == "0":
-                if prev is not None:
-                    events.append((_LOST, prev, -1, 1))
-                prev = None
-            elif token == "G" or token.startswith("G:"):
-                points = 1
-                if token != "G":
-                    digits = token[2:]
-                    if not (digits.isascii() and digits.isdigit()
-                            and _MIN_POINTS <= int(digits) <= _MAX_POINTS):
-                        raise PlayscriptError(
-                            "unknown-token", lineno, col, f"bad score token {token!r} "
-                            f"(use G or G:{_MIN_POINTS}..G:{_MAX_POINTS})")
-                    points = int(digits)
-                if prev is None:
-                    raise PlayscriptError("unknown-token", lineno, col,
-                                          f"score token {token!r} must follow a player")
-                events.append((_SCORE, prev, -1, points))
-                prev = None
-            elif token in node:
-                here = node[token]
+        for i, token in enumerate(map(str.strip, line.split(_SEPARATOR))):
+            here = node_of(token)
+            if here is not None:
                 if prev is not None:
                     if (prev < n_home) == (here < n_home):
                         events.append((_PASS, prev, here, 1))
                     else:
                         events.append((_STEAL, here, prev, 1))  # winner, loser
                 prev = here
-            elif not token:
-                raise PlayscriptError("unknown-token", lineno, col, "empty token")
-            elif token.isidentifier() or token.isalnum():
-                raise PlayscriptError("undeclared-player", lineno, col,
-                                      f"player {token!r} is not on either roster")
+            elif token == "0":
+                if prev is not None:
+                    events.append((_LOST, prev, -1, 1))
+                prev = None
+            elif prev is not None and (points := _points(token)):
+                events.append((_SCORE, prev, -1, points))
+                prev = None
             else:
-                raise PlayscriptError("unknown-token", lineno, col,
-                                      f"unrecognized token {token!r}")
+                raise _token_error(raw, lineno, i)
 
     return GameLog(Sport.BASKETBALL, rosters, EventArrays.from_rows(events, tuple(node)))

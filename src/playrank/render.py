@@ -88,7 +88,7 @@ def _node_label(node) -> str:
 def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
     header = "# nodes: " + " ".join(_node_label(n) for n in graph.nodes)
     if form == "adjacency":
-        rows = [" ".join(str(int(c)) for c in row) for row in graph.counts]
+        rows = [" ".join(map(str, row)) for row in graph.counts.tolist()]
     elif form in ("row-stochastic", "column-stochastic"):
         rational = to_transition(graph).rational
         if form == "column-stochastic":
@@ -101,26 +101,17 @@ def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
 
 def render_comparison(table: CrossGameTable, fmt: str = "table") -> str:
     header = ["Player", *table.game_ids, "Mean"]
-
-    def cells(row):
-        out = [row.player]
-        for gid in table.game_ids:
-            v = row.ipms[gid]
-            out.append("" if v is None else f"{v:.2f}")
-        out.append(f"{row.mean:.2f}")
-        return out
-
+    gids = table.game_ids
+    rows = [[r.player, *["" if v is None else f"{v:.2f}" for v in map(r.ipms.__getitem__, gids)],
+             f"{r.mean:.2f}"] for r in table.rows]
     if fmt == "table":
-        lines = [" | ".join(header)]
-        lines += [" | ".join(cells(r)) for r in table.rows]
-        return "\n".join(lines) + "\n"
+        return "\n".join(map(" | ".join, [header, *rows])) + "\n"
     if fmt == "csv":
         import csv
 
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow([h.lower() for h in header])
-        for r in table.rows:
-            w.writerow(cells(r))
+        w.writerows(rows)
         return buf.getvalue()
     raise ValueError(f"unknown comparison format {fmt!r} (use one of {COMPARISON_FORMATS})")

@@ -52,6 +52,8 @@ def test_new_line_starts_a_fresh_possession():
 def test_score_tokens():
     assert _parse("A -> G\n").events == (Score("A", 1),)
     assert _parse("A -> G:3\n").events == (Score("A", 3),)
+    assert _parse("A -> G:01\n").events == (Score("A", 1),)  # leading zeros are read
+    assert _parse("A -> G:0004\n").events == (Score("A", 4),)
 
 
 def test_play_continues_after_a_score_with_no_arc():
@@ -108,6 +110,11 @@ def test_score_must_follow_a_player():
     err = _err(HEADER + "G -> A\n")
     assert err.kind == "unknown-token"
     assert err.line == 3
+    assert err.message == "score token 'G' must follow a player"
+    # a bad score token is reported as such, wherever it stands
+    err = _err(HEADER + "G:9 -> A\n")
+    assert (err.kind, err.line, err.column) == ("unknown-token", 3, 1)
+    assert err.message == "bad score token 'G:9' (use G or G:1..G:4)"
     err = _err(HEADER + "A -> 0 -> G\n")
     assert err.kind == "unknown-token"
 
@@ -116,6 +123,19 @@ def test_empty_token():
     err = _err(HEADER + "A -> -> B\n")
     assert err.kind == "unknown-token"
     assert err.line == 3
+    assert err.column == 6  # where the blank piece ends, at the next "->"
+    assert err.message == "empty token"
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (HEADER + "A\t->\tQ\n", 3, 6),  # a tab is one column
+    (HEADER.replace("\n", "\r\n") + "A -> B -> Q\r\n", 3, 11),
+    (HEADER + "A -> B\n   C -> Q\n", 4, 9),
+    (HEADER + "A -> B\n\t  C->\t Q \n", 4, 9),
+])
+def test_error_columns_count_characters_of_the_raw_line(text, line, column):
+    err = _err(text)
+    assert (err.kind, err.line, err.column) == ("undeclared-player", line, column)
 
 
 def test_strange_token():
@@ -142,6 +162,13 @@ def test_duplicate_and_reserved_player_ids():
     for bad in ("G", "0", "G:2", "G:x", "G:"):
         err = _err(f"#team Reds A {bad}\n#team Blues D E\n")
         assert err.kind == "malformed-header"
+
+
+def test_player_id_containing_the_separator_rejected():
+    # no sequence line could name it: "A->B -> C" splits into A, B and C
+    err = _err("#team Reds A->B C\n#team Blues D E\n")
+    assert (err.kind, err.line, err.column) == ("malformed-header", 1, 1)
+    assert "'A->B'" in err.message
 
 
 def test_team_header_needs_players():

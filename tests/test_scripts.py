@@ -55,3 +55,20 @@ def test_exact_outputs_digests_each_comparison():
         assert list(digests) == ["table", "csv", "means"]
         assert all(re.fullmatch("[0-9a-f]{64}", v) for v in digests.values())
     assert lines["s1/compare/season0"] != lines["s1/compare/wide_roster"]
+
+
+def test_exact_outputs_digests_playscript_mutants_solvers_and_error_kinds():
+    script = _exact_outputs()
+    game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
+    clean = script.digest(game.play_text, "playscript")
+    assert clean["direct"] != clean["json"]
+    assert all(re.fullmatch("[0-9a-f]{64}", clean[k]) for k in ("direct", "both"))
+    mutants = dict(script._play_mutants("m", game.play_text))
+    for fault in ("third-team", "unknown-directive", "starter-ghost", "team0-declares-G:2"):
+        assert script.digest(mutants[f"m/{fault}"], "playscript")["error"] != "-"
+    tokens = [name for name in mutants if re.search(r"\.t\d[=+-]", name)]
+    assert len(tokens) > len(script.PLAY_TOKENS) * 10
+    assert any(script.digest(mutants[n], "playscript")["counts"] != "-" for n in tokens)
+    token, player = (script.PlayscriptError(kind, 3, 1, "x")
+                     for kind in ("unknown-token", "undeclared-player"))
+    assert script._error(token) != script._error(player)  # same text, other kind
