@@ -16,13 +16,15 @@ inserted or one deleted (see ``PLAY_TOKENS``), and one header fault each
 0-20 in each sport.
 
 Each line names the input, then gives the SHA-256 of the digraph's arc
-``counts``, of the report in ``json``, ``table`` and ``csv``, of the JSON
-report with ``--solver direct`` and with ``--solver both`` (which adds the
-power/direct gap), of the ``validate_game`` list and of the ``error``
-(class, ``kind`` where the error has one, and text); "-" marks a stage
-that did not run (a parse error, or a log with violations).  ``api`` digests
-the same log rebuilt from its event objects, ``GameLog(sport, teams,
-events, metadata)``: its violations and, when it has none, its arc counts.
+``counts``, of the transition matrix's float64 ``floats`` (C-ordered bytes)
+as ``matrix``, so the chain is compared bit for bit, of the report in
+``json``, ``table`` and ``csv``, of the JSON report with ``--solver
+direct`` and with ``--solver both`` (which adds the power/direct gap), of
+the ``validate_game`` list and of the ``error`` (class, ``kind`` where the
+error has one, and text); "-" marks a stage that did not run (a parse
+error, or a log with violations).  ``api`` digests the same log rebuilt from
+its event objects, ``GameLog(sport, teams, events, metadata)``: its
+violations and, when it has none, its arc counts.
 
 After each seed's inputs come its comparison lines: one per ``season``
 round of 24 games, in order, and one for the ``wide_roster`` set.  Each
@@ -51,7 +53,8 @@ from playrank import (  # noqa: E402
     validate_game,
 )
 
-FIELDS = ("counts", "json", "table", "csv", "direct", "both", "violations", "error", "api")
+FIELDS = ("counts", "matrix", "json", "table", "csv", "direct", "both", "violations", "error",
+          "api")
 ROUND = 24  # season games per comparison, as the benchmark's rounds
 SYNTH_SEEDS = range(21)
 
@@ -82,8 +85,9 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def _counts(counts) -> bytes:
-    return f"{counts.shape}{counts.dtype}".encode() + counts.tobytes()
+def _array(a) -> bytes:
+    """Shape, dtype and C-ordered bytes of ``a``."""
+    return f"{a.shape}{a.dtype}".encode() + a.tobytes(order="C")
 
 
 def _api_digest(log) -> str:
@@ -91,7 +95,7 @@ def _api_digest(log) -> str:
     api = GameLog(log.sport, log.teams, log.events, log.metadata)
     violations = validate_game(api)
     text = "\n".join(map(str, violations)).encode()
-    return _sha(text if violations else text + _counts(build_digraph(api).counts))
+    return _sha(text if violations else text + _array(build_digraph(api).counts))
 
 
 def _error(exc: Exception) -> str:
@@ -116,7 +120,8 @@ def digest(text: str, fmt: str) -> dict[str, str]:
     except RankingError as exc:
         out["error"] = _error(exc)
         return out
-    out["counts"] = _sha(_counts(analysis.digraph.counts))
+    out["counts"] = _sha(_array(analysis.digraph.counts))
+    out["matrix"] = _sha(_array(analysis.transition.floats))
     for fmt in ("json", "table", "csv"):
         out[fmt] = _sha(render_report(analysis.report, analysis.teams, fmt))
     for solver in ("direct", "both"):

@@ -8,9 +8,9 @@ whose per-game player average is always 50.
 
 from .gamelog_json import SchemaError, parse_gamelog, render_gamelog
 from .metrics import (
-    BoundsCheck, CrossGameRow, CrossGameTable, DegenerateGoalRankError,
-    IpmReport, PlayerIpm, PropositionCheck, TeamAggregate, TeamAggregates,
-    aggregates, check_proposition_bounds, compare_games, compute_ipm,
+    CrossGameRow, CrossGameTable, DegenerateGoalRankError, IpmReport,
+    PlayerIpm, TeamAggregate, TeamAggregates, aggregates, compare_games,
+    compute_ipm,
 )
 from .model import (
     GOAL, Event, GameLog, GameMetadata, NodeRef, Roster, RosterPlayer, Sport,
@@ -24,8 +24,8 @@ from .playscript import PlayscriptError, parse_playscript
 from .ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
     RankingError, SingularSystemError, TransitionMatrix, apply_events,
-    check_primitive, init_digraph, stationary_direct, stationary_power,
-    to_transition,
+    arc_columns, check_primitive, init_digraph, stationary_direct,
+    stationary_power, to_transition,
 )
 from .render import render_comparison, render_matrix, render_report
 from .synth import generate_random_game
@@ -33,16 +33,16 @@ from .synth import generate_random_game
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsCheck", "CorruptedGraphError", "CrossGameRow", "CrossGameTable",
+    "CorruptedGraphError", "CrossGameRow", "CrossGameTable",
     "DegenerateGoalRankError", "Event", "GOAL", "GameAnalysis", "GameLog",
     "GameMetadata", "IpmReport", "NodeRef", "NonConvergenceError",
-    "PlayDigraph", "PlayerIpm", "PlayscriptError", "PropositionCheck",
-    "RankVector", "RankingError", "Roster", "RosterPlayer", "SchemaError",
+    "PlayDigraph", "PlayerIpm", "PlayscriptError", "RankVector",
+    "RankingError", "Roster", "RosterPlayer", "SchemaError",
     "SingularSystemError", "SolverDisagreement", "Sport", "TeamAggregate",
     "TeamAggregates", "TransitionMatrix", "ValidationFailed", "Violation",
-    "aggregates", "analyze_game", "apply_events", "build_digraph",
-    "check_primitive", "check_proposition_bounds", "compare_games",
-    "compute_ipm", "generate_random_game", "init_digraph",
+    "aggregates", "analyze_game", "apply_events", "arc_columns",
+    "build_digraph", "check_primitive", "compare_games", "compute_ipm",
+    "generate_random_game", "init_digraph",
     "parse_game_text", "parse_gamelog", "parse_playscript",
     "render_comparison", "render_gamelog", "render_matrix", "render_report",
     "solve_stationary", "stationary_direct", "stationary_power",

@@ -1,4 +1,4 @@
-"""Integrated playmaking metric (IPM), team aggregates and sanity bounds.
+"""Integrated playmaking metric (IPM), team aggregates and cross-game tables.
 
 The raw stationary vector is rescaled so players can be compared across
 games: with n players, player rank r_i and goal rank r_g,
@@ -9,17 +9,6 @@ which removes the goal node's share and pins the per-game player average at
 exactly 50 (so the IPM sum is 50 n and the lowest IPM in a game can never
 exceed 50).  Any positive rescaling of the stationary vector leaves IPMs
 unchanged.
-
-Two structural bounds follow from the fixed average and are exposed as
-checks:
-
-* starter gap: with k starters summing to R, some starter/bench pair has a
-  signed IPM difference IPM_starter - IPM_bench of at most
-  n (R - 50 k) / (k (n - k)).  The signed form is what the averaging
-  argument actually yields (the bound is negative when starters
-  underperform, R < 50 k), and it holds for any designated subset.
-* pairwise gap: with n >= 3 players, some pair of players sits within
-  25 n / (n - 2) of each other.
 """
 
 from __future__ import annotations
@@ -28,7 +17,7 @@ import re
 from collections import defaultdict
 from itertools import compress, groupby, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .model import GameMetadata, Roster
 from .ranking import RankVector
@@ -77,24 +66,6 @@ class TeamAggregate(NamedTuple):
 
 class TeamAggregates(NamedTuple):
     teams: tuple[TeamAggregate, TeamAggregate]
-
-
-class PropositionCheck(NamedTuple):
-    applicable: bool
-    bound: float | None = None
-    observed: float | None = None
-    margin: float | None = None  # bound - observed; nonnegative when it holds
-
-    @property
-    def holds(self) -> bool | None:
-        if not self.applicable:
-            return None
-        return self.margin >= -1e-9
-
-
-class BoundsCheck(NamedTuple):
-    starter_gap: PropositionCheck   # needs 1 <= k <= n-1 designated starters
-    pairwise_gap: PropositionCheck  # needs n >= 3
 
 
 class CrossGameRow(NamedTuple):
@@ -166,49 +137,6 @@ def aggregates(report: IpmReport, metadata: GameMetadata | None = None) -> TeamA
             label=None if winner is None else "winner" if winner == t else "loser",
         ))
     return TeamAggregates(teams=(teams[0], teams[1]))
-
-
-def check_proposition_bounds(
-    report: IpmReport,
-    starters: Iterable[str] | None = None,
-) -> BoundsCheck:
-    """Evaluate the starter-gap and pairwise-gap bounds on a report.
-
-    ``starters`` overrides the roster's starter flags; the starter-gap bound
-    is valid for any subset of 1 <= k <= n-1 players.  A check whose
-    precondition fails comes back with applicable=False rather than raising,
-    since the two bounds have independent preconditions.
-    """
-    ipm_by_id = {p.player: p.ipm for p in report.players}
-    if starters is None:
-        starter_set = {p.player for p in report.players if p.starter}
-    else:
-        starter_set = set(starters)
-        unknown = starter_set - ipm_by_id.keys()
-        if unknown:
-            raise KeyError(f"unknown starter ids: {sorted(unknown)}")
-    n = report.n
-    k = len(starter_set)
-
-    if 1 <= k <= n - 1:
-        starter_ipms = [p.ipm for p in report.players if p.player in starter_set]
-        bench_ipms = [p.ipm for p in report.players if p.player not in starter_set]
-        r_total = sum(starter_ipms)
-        bound = n * (r_total - 50.0 * k) / (k * (n - k))
-        observed = min(starter_ipms) - max(bench_ipms)  # min over pairs of s - b
-        starter_gap = PropositionCheck(True, bound, observed, bound - observed)
-    else:
-        starter_gap = PropositionCheck(False)
-
-    if n >= 3:
-        bound = 25.0 * n / (n - 2)
-        ipms = sorted(p.ipm for p in report.players)
-        observed = min(b - a for a, b in zip(ipms, ipms[1:]))
-        pairwise_gap = PropositionCheck(True, bound, observed, bound - observed)
-    else:
-        pairwise_gap = PropositionCheck(False)
-
-    return BoundsCheck(starter_gap=starter_gap, pairwise_gap=pairwise_gap)
 
 
 def compare_games(reports: Mapping[str, IpmReport]) -> CrossGameTable:

@@ -356,9 +356,10 @@ class EventArrays(NamedTuple):
 # Rosters and game logs
 # ---------------------------------------------------------------------------
 
-# The most players a game may have, as the matrices are dense and the direct
-# solve cubic: at 2,000 players and 10,000 events `rank --solver both` peaks at
-# 192 MB RSS in 0.8 s, 0.27 s of it the direct solve (BLAS on one thread).
+# The most players a game may have, as each solver builds a dense matrix and
+# the direct solve is cubic: at 2,000 players and 10,000 events `rank --solver
+# both` peaks at 101 MB RSS in 0.7 s, 0.22 s of it the direct solve, and
+# `--solver power` at 64 MB in 0.45 s (BLAS on one thread).
 MAX_PLAYERS = 2_000
 
 

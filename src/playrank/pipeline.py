@@ -29,6 +29,9 @@ class ValidationFailed(Exception):
 
 
 class GameAnalysis(Record, by_identity=True):
+    """One ranked game.  The digraph and transition hold arc columns and
+    row sums, so nothing here grows with the square of the node count."""
+
     log: GameLog
     digraph: PlayDigraph
     transition: TransitionMatrix

@@ -7,7 +7,8 @@ Grammar (line oriented, UTF-8):
     #! free-form comment             ignored
     A -> B -> F -> G:2               play sequences
 
-Sequence tokens are declared player ids, which cannot contain ``->``, plus
+Sequence tokens are declared player ids, which cannot contain ``->`` or
+start with ``#`` (a line starting with ``#`` is a header or comment), plus
 three specials: ``G`` (made basket, 1 point), ``G:k`` (made basket worth k
 points, 1..4, leading zeros allowed) and ``0`` (dead ball).  Adjacent player
 tokens become a pass when they share a team and a dispossession when they do
@@ -108,6 +109,7 @@ def parse_playscript(text: str) -> GameLog:
                 problem = (f"player id {pid!r} collides with a reserved token"
                            if pid in ("G", "0") or pid.startswith("G:")
                            else f"player id {pid!r} contains {_SEPARATOR!r}" if _SEPARATOR in pid
+                           else f"player id {pid!r} starts with '#'" if pid.startswith("#")
                            else f"player id {pid!r} declared twice" if pid in node else None)
                 if problem:
                     break

@@ -9,12 +9,21 @@ by a walk of length exactly two.  T^2 is therefore entrywise positive for
 every game graph: the chain is primitive and its stationary vector unique.
 Events only ever add arcs, which cannot destroy those walks.
 
+The digraph is its arcs, held as columns: arc i runs src[i] -> dst[i] with
+multiplicity weight[i], the 2n + 1 initial arcs first and then one per event
+that adds one (``arc_columns``).  Building it costs O(n + events), not
+O(k^2) for k = n + 1 nodes.  The dense int64 arc-count matrix ``counts`` is
+built only when asked for (matrix dumps, the exact ``rational`` rows, tests).
+
 The transition matrix is row-stochastic, T[i][j] = arcs(i->j) / outdeg(i),
-held exactly as Fractions (every row sums to exactly 1) with a float64
-projection for the solvers.  The stationary vector v solves T^t v = v with
-sum(v) = 1 and is computed two independent ways: power iteration on T^t and
-a dense linear solve (LU with partial pivoting).  Each serves as an oracle
-for the other.
+with the out-degrees summed from the arcs.  It is held exactly as Fractions
+on request (every row sums to exactly 1), and ``floats`` is its float64
+projection.  The stationary vector v solves T^t v = v with sum(v) = 1 and is
+computed two independent ways: power iteration on T^t and a dense linear
+solve (LU with partial pivoting).  Each serves as an oracle for the other.
+Each solver scatters the arcs into the one k x k float64 matrix it needs
+(T^t for power, T for the solve) and drops it on return, so nothing k x k
+outlives a solve.
 
 Orientation note: dumps of the column-stochastic form are the transpose of
 the internal row-stochastic matrix.
@@ -50,14 +59,16 @@ class SingularSystemError(RankingError):
 
 
 class PlayDigraph(Record, by_identity=True):
-    """Directed multigraph as a dense nonnegative integer arc-count matrix.
+    """Directed multigraph as arc columns: arc i runs ``src[i]`` ->
+    ``dst[i]`` with multiplicity ``weight[i]``; a pair may repeat.
 
-    ``counts[i, j]`` is the number of arcs i -> j.  ``nodes`` fixes the
-    index order: players, then GOAL last.
+    ``nodes`` fixes the index order: players, then GOAL last.
     """
 
     nodes: tuple[NodeRef, ...]
-    counts: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
 
     @property
     def n_players(self) -> int:
@@ -66,21 +77,46 @@ class PlayDigraph(Record, by_identity=True):
     def index_of(self, node: NodeRef) -> int:
         return self.nodes.index(node)
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Dense int64 arc-count matrix, ``counts[i, j]`` arcs i -> j."""
+        k = len(self.nodes)
+        counts = np.zeros((k, k), dtype=np.int64)
+        np.add.at(counts, (self.src, self.dst), self.weight)
+        return counts
+
 
 class TransitionMatrix(Record, by_identity=True):
     """Row-stochastic matrix of the chain induced by a PlayDigraph.
 
-    ``rational`` rows sum to exactly 1; ``floats`` is the float64 projection
-    used by the solvers.  Both are derived from the same integer counts.
+    ``row_sums`` are the nodes' out-degrees.  ``rational`` rows sum to
+    exactly 1; ``floats`` is the float64 projection.  Both are built on
+    first access; the solvers build their own matrix with ``_dense``.
     """
 
-    nodes: tuple[NodeRef, ...]
-    counts: np.ndarray
+    graph: PlayDigraph
     row_sums: np.ndarray
+
+    @property
+    def nodes(self) -> tuple[NodeRef, ...]:
+        return self.graph.nodes
+
+    @property
+    def size(self) -> int:
+        return len(self.graph.nodes)
+
+    def _dense(self, transposed: bool = False) -> np.ndarray:
+        """A new C-ordered float64 T, or T^t, scattered from the arcs: the
+        integer counts (exact in float64), each divided by its row's sum."""
+        g, k = self.graph, self.size
+        rows, cols = (g.dst, g.src) if transposed else (g.src, g.dst)
+        m = np.bincount(rows * k + cols, g.weight, k * k).reshape(k, k)
+        m /= self.row_sums if transposed else self.row_sums[:, None]
+        return m
 
     @cached_property
     def floats(self) -> np.ndarray:
-        return self.counts / self.row_sums[:, None]
+        return self._dense()
 
     @cached_property
     def rational(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -88,12 +124,8 @@ class TransitionMatrix(Record, by_identity=True):
 
         return tuple(
             tuple(Fraction(int(c), int(s)) for c in row)
-            for row, s in zip(self.counts, self.row_sums)
+            for row, s in zip(self.graph.counts, self.row_sums)
         )
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
 
 class RankVector(Record, by_identity=True):
@@ -118,46 +150,62 @@ def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
     """Pre-game digraph: player<->goal arcs both ways plus the goal self-loop."""
     nodes = tuple(p.id for roster in rosters for p in roster.players) + (GOAL,)
     n = len(nodes) - 1
-    counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    counts[:n, n] = 1  # player -> goal
-    counts[n, :] = 1   # goal -> everyone, incl. itself
-    return PlayDigraph(nodes, counts)
+    players, goal = np.arange(n), np.full(n + 1, n)
+    # player -> goal, then goal -> everyone, incl. itself
+    return PlayDigraph(nodes, np.concatenate((players, goal)),
+                       np.concatenate((goal[:n], np.arange(n + 1))),
+                       np.ones(2 * n + 1, dtype=np.int64))
 
 
-def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
-    """Add every event's arcs to a copy of ``g`` in one ``np.add.at``.
-
-    ``g`` has the log's nodes (``init_digraph(log.teams)``), which the event
-    columns index; events only add arcs, so the result dominates ``g`` in
-    any event order.  Raises ValueError for an event type the sport lacks
-    and KeyError for a player on neither roster (a validated log has neither).
-    """
+def arc_columns(log: GameLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, weight) of each event of ``log`` that adds an arc, in
+    event order, as nodes of ``init_digraph(log.teams)``; a dead ball
+    (weight 0) adds none.  Raises ValueError for an event type the sport
+    lacks and KeyError for a player on neither roster (a validated log has
+    neither)."""
     arr = log.arrays
-    legal, _, _, _, src_col, dst_col, by_field, constant = KIND_TABLE[log.sport][:, arr.kind]
-    illegal = np.flatnonzero(legal == 0)
+    table = KIND_TABLE[log.sport]
+    kind = arr.kind
+    illegal = np.flatnonzero(table[0].take(kind) == 0)
     if len(illegal):
         raise ValueError(f"event {illegal[0]} is not a {log.sport.value} event")
-    n = g.n_players
+    n = log.n_players
     unknown = np.flatnonzero((arr.a >= n) | (arr.b >= n))
     if len(unknown):
         raise KeyError(f"event {unknown[0]} names a player that is not a node")
-    ends = np.stack((arr.a, arr.b, np.full(len(arr.kind), n)))
+    src_col, dst_col, by_field, constant = table[4:].take(kind, axis=1)
+    m = len(kind)
+    ends = np.concatenate((arr.a, arr.b, np.full(m, n)))  # role 0, role 1, the goal
     ends[ends < 0] = n  # no such role: the goal
-    src, dst = (ends[col, np.arange(len(arr.kind))] for col in (src_col, dst_col))
-    counts = g.counts.copy()
-    np.add.at(counts.reshape(-1), src * (n + 1) + dst, np.where(by_field, arr.weight, constant))
-    return PlayDigraph(g.nodes, counts)
+    rows = np.arange(m)
+    src, dst = ends.take(src_col * m + rows), ends.take(dst_col * m + rows)
+    weight = by_field * arr.weight + constant  # constant is 0 where by_field
+    live = weight != 0
+    if live.all():
+        return src, dst, weight
+    return src[live], dst[live], weight[live]
+
+
+def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
+    """``g`` with every event's arcs (``arc_columns``) appended.
+
+    ``g`` has the log's nodes (``init_digraph(log.teams)``); events only add
+    arcs, so the result dominates ``g`` in any event order.
+    """
+    return PlayDigraph(g.nodes, *(np.concatenate(pair)
+                                  for pair in zip((g.src, g.dst, g.weight), arc_columns(log))))
 
 
 def to_transition(g: PlayDigraph) -> TransitionMatrix:
     """Row-normalize arc counts into the chain's transition matrix."""
-    row_sums = g.counts.sum(axis=1)
+    row_sums = np.zeros(len(g.nodes), dtype=np.int64)
+    np.add.at(row_sums, g.src, g.weight)
     if (row_sums == 0).any():
         bad = int(np.argmin(row_sums))
         raise CorruptedGraphError(
             f"node {g.nodes[bad]!r} has no outgoing arcs; graph was not initialized"
         )
-    return TransitionMatrix(g.nodes, g.counts, row_sums)
+    return TransitionMatrix(g, row_sums)
 
 
 def check_primitive(t: TransitionMatrix) -> int:
@@ -170,8 +218,10 @@ def check_primitive(t: TransitionMatrix) -> int:
     itself is positive and 2 otherwise.  A matrix without a hub did not come
     from ``init_digraph``: CorruptedGraphError.
     """
-    pattern = t.counts > 0
-    if not (pattern.all(axis=0) & pattern.all(axis=1)).any():
+    k = t.size
+    pattern = np.zeros((k, k), dtype=bool)  # where the arcs run; their weights are positive
+    pattern.reshape(-1)[t.graph.src * k + t.graph.dst] = True
+    if not pattern[:, pattern.all(axis=1)].all(axis=0).any():  # a full row with a full column
         raise CorruptedGraphError(
             "no node has an all-positive row and column; graph was not initialized")
     return 1 if pattern.all() else 2
@@ -195,7 +245,7 @@ def stationary_power(
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    tt = t.floats.T.copy()
+    tt = t._dense(transposed=True)
     k = t.size
     v = np.full(k, 1.0 / k)
     steps = []
@@ -225,10 +275,11 @@ def stationary_direct(t: TransitionMatrix) -> RankVector:
 
     The redundant last equation is replaced by the normalization row and the
     system solved densely by LU with partial pivoting.  Independent of the
-    power route, so the two can cross-check each other.
+    power route, so the two can cross-check each other.  The residual
+    max |T^t v - v| is summed over the arcs.
     """
     k = t.size
-    a = t.floats.T.copy(order="K")  # F-ordered, as LAPACK takes it; no k x k identity
+    a = t._dense().T  # T^t, F-ordered as LAPACK takes it; no k x k identity
     a[np.diag_indices(k)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(k)
@@ -244,5 +295,6 @@ def stationary_direct(t: TransitionMatrix) -> RankVector:
         )
     v = np.clip(v, 0.0, None)
     v /= v.sum()
-    residual = float(np.abs(t.floats.T @ v - v).max())
-    return RankVector(t.nodes, v, residual, "direct")
+    g = t.graph
+    tv = np.bincount(g.dst, g.weight * (v / t.row_sums)[g.src], k)
+    return RankVector(t.nodes, v, float(np.abs(tv - v).max()), "direct")

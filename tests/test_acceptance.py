@@ -20,7 +20,7 @@ import time
 import pytest
 
 from playrank.gamelog_json import parse_gamelog, render_gamelog
-from playrank.metrics import check_proposition_bounds, compute_ipm, aggregates
+from playrank.metrics import compute_ipm, aggregates
 from playrank.model import GameLog, Roster, RosterPlayer, Score, Sport, validate_game
 from playrank.pipeline import build_digraph
 from playrank.playscript import parse_playscript
@@ -32,6 +32,7 @@ from playrank.render import render_report
 from playrank.synth import generate_random_game
 
 from golden import DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_IPM_TABLE
+from propositions import check_proposition_bounds
 
 SWEEP_GAMES_PER_SPORT = 1000
 SWEEP_SUBSETS_PER_GAME = 10

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 
 from playrank.metrics import (
     CrossGameRow, CrossGameTable, DegenerateGoalRankError, IpmReport,
-    PlayerIpm, aggregates, check_proposition_bounds, compare_games,
-    compute_ipm,
+    PlayerIpm, aggregates, compare_games, compute_ipm,
 )
 from playrank.model import GOAL, GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport
 from playrank.pipeline import analyze_game, build_digraph
@@ -16,6 +15,7 @@ from playrank.ranking import RankVector, stationary_direct, to_transition
 from playrank.synth import generate_random_game
 
 from golden import DEMO_IPM_EXACT, build_demo_log
+from propositions import check_proposition_bounds
 
 games = st.builds(
     generate_random_game,

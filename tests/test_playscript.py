@@ -171,6 +171,14 @@ def test_player_id_containing_the_separator_rejected():
     assert "'A->B'" in err.message
 
 
+@pytest.mark.parametrize("pid, sequence", [("#!a", "#!a -> B -> G"), ("#x", "#x -> B")])
+def test_player_id_starting_with_a_hash_rejected(pid, sequence):
+    # a sequence line naming it would read as a comment or a directive
+    err = _err(f"#team Reds {pid} B\n#team Blues D E\n{sequence}\n")
+    assert (err.kind, err.line, err.column) == ("malformed-header", 1, 1)
+    assert f"{pid!r}" in err.message
+
+
 def test_team_header_needs_players():
     err = _err("#team Reds\n#team Blues D E\n")
     assert err.kind == "malformed-header"

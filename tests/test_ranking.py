@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,14 +10,16 @@ from hypothesis import given, settings
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
     EVENT_SPECS, GOAL, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
+    UncontestedMissDead,
 )
 from playrank.pipeline import (
     SolverDisagreement, analyze_game, build_digraph, solve_stationary,
 )
 from playrank.ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
-    SingularSystemError, TransitionMatrix, apply_events, check_primitive,
-    init_digraph, stationary_direct, stationary_power, to_transition,
+    SingularSystemError, TransitionMatrix, apply_events, arc_columns,
+    check_primitive, init_digraph, stationary_direct, stationary_power,
+    to_transition,
 )
 from playrank.synth import generate_random_game
 
@@ -31,6 +34,15 @@ def _rosters(n1, n2, prefix=("H", "A")):
         Roster("Home", tuple(RosterPlayer(f"{prefix[0]}{i}") for i in range(1, n1 + 1))),
         Roster("Away", tuple(RosterPlayer(f"{prefix[1]}{i}") for i in range(1, n2 + 1))),
     )
+
+
+def _digraph(counts, nodes=None):
+    """The PlayDigraph whose arc counts are the dense ``counts``: one arc
+    per nonzero entry, row by row."""
+    counts = np.asarray(counts, dtype=np.int64)
+    src, dst = np.nonzero(counts)
+    return PlayDigraph(nodes or tuple(f"n{i}" for i in range(len(counts))),
+                       src, dst, counts[src, dst])
 
 
 games = st.builds(
@@ -118,6 +130,37 @@ def test_build_digraph_matches_the_per_event_fold(log):
         assert np.array_equal(build_digraph(each).counts, _folded_counts(each))
 
 
+def test_arc_columns_drop_dead_balls_and_follow_the_event_order():
+    rosters = _rosters(2, 2)
+    log = GameLog(Sport.SOCCER, rosters, (
+        Pass("H1", "H2"), UncontestedMissDead("H2"), Save("H2", "A1"), Pass("A1", "A2")))
+    src, dst, weight = arc_columns(log)
+    # receiver -> passer for a pass, shooter -> keeper for a save; nodes H1 H2 A1 A2 GOAL
+    assert (src.tolist(), dst.tolist(), weight.tolist()) == ([1, 1, 3], [0, 2, 2], [1, 1, 1])
+    g0 = init_digraph(rosters)
+    g = apply_events(g0, log)
+    assert [col.tolist() for col in (g.src, g.dst, g.weight)] == [
+        np.concatenate(pair).tolist() for pair in zip((g0.src, g0.dst, g0.weight), (src, dst, weight))]
+
+
+def test_counts_are_built_on_first_access_only():
+    g = build_digraph(build_demo_log())
+    t = to_transition(g)
+    stationary_power(t), stationary_direct(t), check_primitive(t)
+    assert not {"floats", "rational"} & vars(t).keys() and "counts" not in vars(g)
+    assert g.counts is g.counts and g.counts.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(log=games)
+def test_floats_are_the_counts_over_the_row_sums_exactly(log):
+    t = to_transition(build_digraph(log))
+    counts = t.graph.counts
+    assert np.array_equal(t.row_sums, counts.sum(axis=1))
+    assert np.array_equal(t.floats, counts / t.row_sums[:, None])
+    assert t.floats.flags.c_contiguous
+
+
 def test_apply_events_rejects_what_validation_rejects():
     rosters = _rosters(1, 1)
     with pytest.raises(ValueError, match="event 0 is not a basketball event"):
@@ -135,7 +178,7 @@ def test_demo_transition_matches_column_stochastic_reference():
 def test_zero_row_is_a_corrupted_graph():
     counts = np.zeros((3, 3), dtype=np.int64)
     counts[2, :] = 1
-    g = PlayDigraph(("p", "q", GOAL), counts)
+    g = _digraph(counts, ("p", "q", GOAL))
     with pytest.raises(CorruptedGraphError):
         to_transition(g)
 
@@ -163,15 +206,15 @@ def test_demo_graph_witness_two():
 
 
 def test_identity_pattern_is_not_primitive():
-    g = PlayDigraph(("p", "q", GOAL), np.eye(3, dtype=np.int64))
+    g = _digraph(np.eye(3, dtype=np.int64), ("p", "q", GOAL))
     with pytest.raises(CorruptedGraphError):
         check_primitive(to_transition(g))
 
 
 def _pattern_matrix(counts):
+    """The chain of the arc counts ``counts``, zero rows allowed."""
     counts = np.asarray(counts, dtype=np.int64)
-    nodes = tuple(f"n{i}" for i in range(len(counts)))
-    return TransitionMatrix(nodes, counts, counts.sum(axis=1))
+    return TransitionMatrix(_digraph(counts), counts.sum(axis=1))
 
 
 def _has_hub(counts):
@@ -315,6 +358,10 @@ def test_power_and_direct_agree(log):
     assert vp.residual <= 1e-10
     assert vd.residual <= 1e-10
     assert abs(vp.values.sum() - 1.0) <= 1e-12
+    # the direct residual, summed over the arcs, is the dense one up to the
+    # rounding of a sum of at most one term per arc, each below 1
+    dense = np.abs(t.floats.T @ vd.values - vd.values).max()
+    assert abs(vd.residual - dense) <= len(t.graph.src) * np.finfo(float).eps
 
 
 @settings(max_examples=25, deadline=None)
@@ -457,3 +504,25 @@ def test_near_periodic_game_is_solved_directly():
     exact = _exact_ipms(counts, players)
     for p in analysis.report.players:
         assert abs(p.ipm - float(exact[p.player])) <= 1e-9
+
+
+# --- memory ----------------------------------------------------------------
+
+@pytest.mark.parametrize("solver", ["power", "direct", "both"])
+def test_analysis_holds_no_dense_matrix(solver):
+    # At k = 351 nodes one k x k float64 matrix is 8 k^2 bytes (986 kB).  Each
+    # solver builds one such matrix from the arcs and drops it; the analysis
+    # keeps the arc columns, which grow with the events, not with k^2.
+    log = generate_random_game(Sport.SOCCER, 350, 2_000, seed=7)
+    matrix = 8 * (log.n_players + 1) ** 2
+    analyze_game(log, solver)  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        analysis = analyze_game(log, solver)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.5 * matrix
+    assert after - before <= 0.5 * matrix
+    assert analysis.rank.method == ("direct" if solver == "direct" else "power")

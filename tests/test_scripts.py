@@ -1,5 +1,6 @@
 """The scripts the README documents run end to end."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -45,6 +46,17 @@ def test_exact_outputs_digests_a_small_game_and_its_mutants():
     assert any(name.endswith(":role-int") for name in errors)
     assert any(name.endswith("=ghost") for name in violations)
     assert any(name.endswith("=1180591620717411303424") for name in violations)
+    assert all(lines[name]["matrix"] == "-" for name in errors + violations)
+
+
+def test_exact_outputs_digests_the_float_transition_matrix():
+    script = _exact_outputs()
+    game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
+    floats = script.analyze_game(script.parse_gamelog(game.text)).transition.floats
+    want = f"{floats.shape}float64".encode() + floats.tobytes(order="C")
+    assert script.digest(game.text, "json")["matrix"] == hashlib.sha256(want).hexdigest()
+    other = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[1]
+    assert script.digest(other.text, "json")["matrix"] != hashlib.sha256(want).hexdigest()
 
 
 def test_exact_outputs_digests_each_comparison():
