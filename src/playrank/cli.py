@@ -272,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         (args.command == "synth" and args.players > MAX_PLAYERS,
          f"--players must be <= {MAX_PLAYERS}"),
         (args.command == "synth" and args.events < 0, "--events must be >= 0"),
+        (args.command == "synth" and args.events > 1_000_000, "--events must be <= 1000000"),
         (not 0 < getattr(args, "tol", 1.0) < math.inf, "--tol must be positive and finite"),
         (getattr(args, "max_iters", 1) < 1, "--max-iters must be >= 1"),
     ):

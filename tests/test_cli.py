@@ -363,6 +363,24 @@ def test_synth_usage_errors(capsys):
     assert code == 64 and f"--players must be <= {MAX_PLAYERS}" in err and out == ""
 
 
+def test_synth_too_many_events_is_a_usage_error_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "synth", "--sport", "soccer", "--players", "4",
+                         "--events", "1000000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 64 and out == "" and "--events" in err
+
+
+def test_synth_negative_seed_plays_its_absolute_value(capsys):
+    outs = []
+    for seed in ("-1", "1"):
+        code, out, _ = run(capsys, "synth", "--sport", "basketball", "--players", "6",
+                           "--events", "40", "--seed", seed)
+        assert code == 0
+        outs.append(out.encode())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command", ["rank", "validate", "matrix"])
 def test_a_game_over_the_player_cap_exits_1_before_any_matrix(capsys, tmp_path, command):
     players = [{"id": f"p{i}"} for i in range(MAX_PLAYERS + 1)]

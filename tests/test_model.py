@@ -2,6 +2,7 @@ import pickle
 import typing
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -334,6 +335,37 @@ def test_generator_weights_steer_mix():
     with pytest.raises(ValueError):
         generate_random_game(Sport.BASKETBALL, 6, 10, seed=2,
                              weights={"icing": 1.0})  # hockey-only type
+
+
+@pytest.mark.parametrize("sport", list(Sport), ids=lambda s: s.value)
+def test_generator_kind_mix_follows_the_weights(sport):
+    n = 30_000
+    log = generate_random_game(sport, 10, n, seed=11)
+    counts = np.bincount(log.arrays.kind, minlength=len(EVENT_SPECS))
+    weight = np.array([spec.sports.get(sport, (None, 0))[1] for spec in EVENT_SPECS], float)
+    share = weight / weight.sum()
+    sigma = np.sqrt(n * share * (1 - share))
+    assert (counts[share == 0] == 0).all()
+    assert (abs(counts - n * share) <= 5 * sigma).all(), (counts, n * share, sigma)
+
+
+@pytest.mark.parametrize("dropped", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_generator_drops_a_type_whose_weight_is_not_positive(dropped):
+    for sport in Sport:
+        log = generate_random_game(sport, 6, 2_000, seed=4,
+                                   weights={"pass": dropped, "score": dropped})
+        assert not any(isinstance(e, (Pass, Score)) for e in log.events)
+        assert validate_game(log) == [] and len(log.events) == 2_000
+        only = {spec.name: dropped for spec in LEGAL[sport]}
+        with pytest.raises(ValueError, match=sport.value):
+            generate_random_game(sport, 6, 10, seed=0, weights=only)
+
+
+@pytest.mark.parametrize("sport", list(Sport), ids=lambda s: s.value)
+def test_generator_draws_every_player_in_both_roles(sport):
+    arr = generate_random_game(sport, 10, 2_000, seed=6).arrays
+    assert set(arr.a.tolist()) - {-1} == set(range(10))
+    assert set(arr.b.tolist()) - {-1} == set(range(10))
 
 
 def test_generator_rejects_an_empty_event_pool():
