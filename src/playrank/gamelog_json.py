@@ -29,8 +29,7 @@ from typing import Any
 import numpy as np
 
 from .model import (
-    EVENT_SPECS, KIND_OF, Event, EventArrays, GameLog, GameMetadata, Roster,
-    RosterPlayer, Sport,
+    EVENT_SPECS, KIND_OF, Event, EventArrays, GameLog, GameMetadata, Roster, Sport,
 )
 
 SCHEMA_VERSION = "1"
@@ -99,7 +98,7 @@ def _parse_events(events: list, sport: Sport, teams: tuple[Roster, Roster]) -> E
         arrays = EventArrays.read(events, kind, teams, sport, itemgetter)
         # read raises on a missing key, so the key count is exact iff its sum is
         if (sum(map(len, events)) == _SIZES[sport][kind].sum() and not arrays.odd
-                and len(arrays.ids) == sum(len(t.players) for t in teams)):
+                and len(arrays.ids) == sum(len(t.ids) for t in teams)):
             return arrays
     except (LookupError, TypeError):
         pass
@@ -137,7 +136,7 @@ def _parse_team(obj: Any, path: str) -> Roster:
         if (all(map(_PLAYER_KEYS.issuperset, players)) and set(map(type, ids)) <= {str}
                 and all(ids) and set(map(type, names)) <= {str}
                 and set(map(type, starters)) <= {bool}):
-            return Roster(name, map(RosterPlayer, ids, names, starters))
+            return Roster.from_columns(name, ids, names, starters)
     except (LookupError, TypeError):
         pass
     for i, p in enumerate(players):

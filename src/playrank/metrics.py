@@ -42,9 +42,10 @@ class IpmReport(NamedTuple):
     """Per-player IPMs for one game.
 
     ``players`` keeps roster order (team 1 then team 2); ``standings`` is
-    sorted by IPM descending with ties broken by team order then roster
-    order.  IPMs are stored at full precision; rounding to hundredths is a
-    rendering concern.
+    sorted by IPM descending, and bit-equal IPMs keep roster order (IPMs
+    equal in exact arithmetic may differ in their last bits, by solver, and
+    so list in either order).  IPMs are stored at full precision; rounding
+    to hundredths is a rendering concern.
     """
 
     n: int
@@ -89,13 +90,15 @@ def compute_ipm(rank: RankVector, rosters: tuple[Roster, Roster]) -> IpmReport:
     player_ranks = rank.player_ranks
     n = len(player_ranks)
     total = float(player_ranks.sum())  # equals 1 - goal_rank
-    members = [(p.id, p.name, r.name, p.starter) for r in rosters for p in r.players]
-    if len(members) != n:
-        raise ValueError(f"rank vector has {n} player entries, rosters have {len(members)}")
+    home, away = rosters
+    ids = home.ids + away.ids
+    if len(ids) != n:
+        raise ValueError(f"rank vector has {n} player entries, rosters have {len(ids)}")
     ipms = 50.0 * n * player_ranks / total
-    players = tuple(map(tuple.__new__, repeat(PlayerIpm),  # not PlayerIpm's Python __new__
-                        map(tuple.__add__, members, zip(player_ranks.tolist(), ipms.tolist()))))
-    order = (-ipms).argsort(kind="stable").tolist()  # ties keep roster order
+    players = tuple(map(tuple.__new__, repeat(PlayerIpm), zip(  # not PlayerIpm's Python __new__
+        ids, home.names + away.names, (home.name,) * len(home.ids) + (away.name,) * len(away.ids),
+        home.starters + away.starters, player_ranks.tolist(), ipms.tolist())))
+    order = (-ipms).argsort(kind="stable").tolist()  # bit-equal IPMs keep roster order
     return IpmReport(
         n=n, goal_rank=goal_rank, residual=rank.residual, method=rank.method,
         players=players, standings=tuple(map(players.__getitem__, order)),

@@ -74,6 +74,8 @@ class Record(metaclass=_RecordType):
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
 
+    _key = _values  # what == and hash read
+
     def _asdict(self) -> dict:
         return dict(zip(self._fields, self._values()))
 
@@ -84,10 +86,10 @@ class Record(metaclass=_RecordType):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key())
 
     def __setattr__(self, name, *_value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -282,7 +284,7 @@ class NodeIndex(dict):
     repeated id keeps its first node), then any other key, appended to ``ids``."""
 
     def __init__(self, teams):
-        self.ids = [p.id for roster in teams for p in roster.players]
+        self.ids = [pid for roster in teams for pid in roster.ids]
         super().__init__(zip(reversed(self.ids), range(len(self.ids) - 1, -1, -1)))
 
     def __missing__(self, key):
@@ -356,10 +358,9 @@ class EventArrays(NamedTuple):
 # Rosters and game logs
 # ---------------------------------------------------------------------------
 
-# The most players a game may have, as each solver builds a dense matrix and
-# the direct solve is cubic: at 2,000 players and 10,000 events `rank --solver
-# both` peaks at 101 MB RSS in 0.7 s, 0.22 s of it the direct solve, and
-# `--solver power` at 64 MB in 0.45 s (BLAS on one thread).
+# The most players a game may have, as the direct solve is dense and cubic: at
+# 2,000 players and 10,000 events `rank --solver both` peaks at 101 MB RSS in
+# 0.5 s, `--solver power` (on the arcs) at 37 MB in 0.3 s (BLAS on one thread).
 MAX_PLAYERS = 2_000
 
 
@@ -376,17 +377,39 @@ class RosterPlayer(Record):
 
 class Roster(Record):
     """One team.  Player order is significant: it fixes matrix row/column
-    order for the whole pipeline and must survive serialization."""
+    order for the whole pipeline and must survive serialization.  Players
+    are held as the columns ``ids``, ``names`` and ``starters``; ``players``
+    rebuilds their objects on each call, and ==, hash and pickle read columns."""
 
-    name: str
-    players: tuple[RosterPlayer, ...]
+    __slots__ = ("name", "ids", "names", "starters")
+    _fields = ("name", "players")
 
     def __init__(self, name: str, players):
-        Record.__init__(self, name, tuple(players))
+        players = tuple(players)
+        for slot, value in zip(self.__slots__, (name, *(
+                tuple(map(attrgetter(f), players)) for f in RosterPlayer._fields))):
+            _set(self, slot, value)
+
+    @classmethod
+    def from_columns(cls, name: str, ids, names=None, starters=None) -> Roster:
+        """The roster of players ``ids`` named ``names`` (default the ids; an
+        empty name is the id, as in RosterPlayer), ``starters`` (default none)."""
+        roster, ids = cls.__new__(cls), tuple(ids)
+        for slot, value in zip(cls.__slots__, (
+                name, ids, ids if names is None else tuple(n or i for n, i in zip(names, ids)),
+                (False,) * len(ids) if starters is None else tuple(starters))):
+            _set(roster, slot, value)
+        return roster
 
     @property
-    def player_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.players)
+    def players(self) -> tuple[RosterPlayer, ...]:
+        return tuple(map(RosterPlayer, self.ids, self.names, self.starters))
+
+    def _key(self) -> tuple:
+        return self.name, self.ids, self.names, self.starters
+
+    def __reduce__(self):
+        return type(self).from_columns, self._key()
 
 
 class GameMetadata(Record):
@@ -443,7 +466,7 @@ class GameLog(Record):
 
     @property
     def n_players(self) -> int:
-        return len(self.teams[0].players) + len(self.teams[1].players)
+        return len(self.teams[0].ids) + len(self.teams[1].ids)
 
 
 class Violation(Record):
@@ -468,14 +491,14 @@ def validate_game(log: GameLog) -> list[Violation]:
 
     seen: set[str] = set()
     for roster in log.teams:
-        if not roster.players:
+        if not roster.ids:
             out.append(Violation(None, f"team '{roster.name}' has no players"))
-        for p in roster.players:
-            if not p.id:
+        for pid in roster.ids:
+            if not pid:
                 out.append(Violation(None, f"team '{roster.name}' has a player with an empty id"))
-            elif p.id in seen:
-                out.append(Violation(None, f"player id '{p.id}' appears more than once"))
-            seen.add(p.id)
+            elif pid in seen:
+                out.append(Violation(None, f"player id '{pid}' appears more than once"))
+            seen.add(pid)
     if log.n_players < 2:
         out.append(Violation(None, "a game needs at least 2 players"))
     if log.n_players > MAX_PLAYERS:
@@ -488,7 +511,7 @@ def validate_game(log: GameLog) -> list[Violation]:
     kind, a, b, weight = arr.kind, arr.a, arr.b, arr.weight
     # each node's side: team 1 (0), team 2 (1) or neither roster (2); -1 (last) for no role
     side = np.repeat([0, 1, 2, -1],
-                     [len(t.players) for t in log.teams] + [len(arr.ids) - log.n_players, 1])
+                     [len(t.ids) for t in log.teams] + [len(arr.ids) - log.n_players, 1])
     ta, tb = side[a], side[b]
     legal, pair, lo, hi = KIND_TABLE[sport][:4, kind]
     illegal = legal == 0

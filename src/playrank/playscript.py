@@ -21,8 +21,8 @@ attribution, free throws) need the JSON format.
 from __future__ import annotations
 
 from .model import (
-    EVENT_SPECS, KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, RosterPlayer,
-    Score, Sport, UnforcedTurnover,
+    EVENT_SPECS, KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, Score, Sport,
+    UnforcedTurnover,
 )
 
 _PASS, _STEAL, _LOST, _SCORE = (
@@ -125,7 +125,7 @@ def parse_playscript(text: str) -> GameLog:
         if pid not in node:
             raise PlayscriptError("undeclared-player", lineno, col,
                                   f"#starters references undeclared player {pid!r}")
-    rosters = [Roster(name, (RosterPlayer(pid, pid, pid in starters) for pid in ids))
+    rosters = [Roster.from_columns(name, ids, starters=map(starters.__contains__, ids))
                for name, ids in teams]
 
     # Sequence pass: one roster lookup per token; _token_error explains a refusal.

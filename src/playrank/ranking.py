@@ -21,9 +21,9 @@ on request (every row sums to exactly 1), and ``floats`` is its float64
 projection.  The stationary vector v solves T^t v = v with sum(v) = 1 and is
 computed two independent ways: power iteration on T^t and a dense linear
 solve (LU with partial pivoting).  Each serves as an oracle for the other.
-Each solver scatters the arcs into the one k x k float64 matrix it needs
-(T^t for power, T for the solve) and drops it on return, so nothing k x k
-outlives a solve.
+Power iteration steps on the arcs (one weighted bincount per step, O(arcs)),
+never on a k x k matrix; the solve scatters the arcs into a k x k float64 T
+and drops it on return, so nothing k x k outlives a solve.
 
 Orientation note: dumps of the column-stochastic form are the transpose of
 the internal row-stochastic matrix.
@@ -32,6 +32,7 @@ the internal row-stochastic matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cached_property
 
 import numpy as np
@@ -91,7 +92,8 @@ class TransitionMatrix(Record, by_identity=True):
 
     ``row_sums`` are the nodes' out-degrees.  ``rational`` rows sum to
     exactly 1; ``floats`` is the float64 projection.  Both are built on
-    first access; the solvers build their own matrix with ``_dense``.
+    first access; the direct solve builds its own matrix with ``_dense``
+    and power iteration steps with ``_arc_matvec``.
     """
 
     graph: PlayDigraph
@@ -105,14 +107,19 @@ class TransitionMatrix(Record, by_identity=True):
     def size(self) -> int:
         return len(self.graph.nodes)
 
-    def _dense(self, transposed: bool = False) -> np.ndarray:
-        """A new C-ordered float64 T, or T^t, scattered from the arcs: the
-        integer counts (exact in float64), each divided by its row's sum."""
+    def _dense(self) -> np.ndarray:
+        """A new C-ordered float64 T scattered from the arcs: the integer
+        counts (exact in float64), each divided by its row's sum."""
         g, k = self.graph, self.size
-        rows, cols = (g.dst, g.src) if transposed else (g.src, g.dst)
-        m = np.bincount(rows * k + cols, g.weight, k * k).reshape(k, k)
-        m /= self.row_sums if transposed else self.row_sums[:, None]
+        m = np.bincount(g.src * k + g.dst, g.weight, k * k).reshape(k, k)
+        m /= self.row_sums[:, None]
         return m
+
+    def _arc_matvec(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> T^t v as one weighted bincount over the arcs, O(arcs) per call."""
+        g, k = self.graph, self.size
+        src, dst, p = g.src, g.dst, g.weight / self.row_sums[g.src]
+        return lambda v: np.bincount(dst, p * v[src], k)
 
     @cached_property
     def floats(self) -> np.ndarray:
@@ -148,7 +155,7 @@ class RankVector(Record, by_identity=True):
 
 def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
     """Pre-game digraph: player<->goal arcs both ways plus the goal self-loop."""
-    nodes = tuple(p.id for roster in rosters for p in roster.players) + (GOAL,)
+    nodes = (*rosters[0].ids, *rosters[1].ids, GOAL)
     n = len(nodes) - 1
     players, goal = np.arange(n), np.full(n + 1, n)
     # player -> goal, then goal -> everyone, incl. itself
@@ -239,23 +246,23 @@ def stationary_power(
     best-effort vector: after ``max_iters`` iterations, or earlier, once the
     step's decay over the last half of the run (every 32 iterations) puts
     ``tol`` beyond twice ``max_iters``.  The step never grows, since T is
-    stochastic, and it shrinks about geometrically.
+    stochastic, and it shrinks about geometrically.  Each step sums over the
+    arcs, so no k x k matrix is built.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    tt = t._dense(transposed=True)
-    k = t.size
+    k, matvec = t.size, t._arc_matvec()
     v = np.full(k, 1.0 / k)
     steps = []
     for it in range(1, max_iters + 1):
-        nxt = tt @ v
+        nxt = matvec(v)
         nxt /= nxt.sum()
         step = float(np.abs(nxt - v).sum())
         v = nxt
         if step <= tol:
-            residual = float(np.abs(tt @ v - v).max())
+            residual = float(np.abs(matvec(v) - v).max())
             return RankVector(t.nodes, v, residual, "power", it)
         steps.append(step)
         if it % 32 == 0:
@@ -295,6 +302,4 @@ def stationary_direct(t: TransitionMatrix) -> RankVector:
         )
     v = np.clip(v, 0.0, None)
     v /= v.sum()
-    g = t.graph
-    tv = np.bincount(g.dst, g.weight * (v / t.row_sums)[g.src], k)
-    return RankVector(t.nodes, v, float(np.abs(tv - v).max()), "direct")
+    return RankVector(t.nodes, v, float(np.abs(t._arc_matvec()(v) - v).max()), "direct")

@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import EVENT_SPECS, KIND_TABLE, EventArrays, GameLog, Roster, RosterPlayer, Sport
+from .model import EVENT_SPECS, KIND_TABLE, EventArrays, GameLog, Roster, Sport
 
 _STARTERS_PER_TEAM = {Sport.BASKETBALL: 5, Sport.SOCCER: 11, Sport.HOCKEY: 6}
 
 
 def _make_rosters(sport: Sport, n_players: int) -> tuple[Roster, Roster]:
-    n_home = n_players - n_players // 2
     k = _STARTERS_PER_TEAM[sport]
-
-    def roster(name: str, prefix: str, size: int) -> Roster:
-        return Roster(name, tuple(RosterPlayer(f"{prefix}{i}", starter=i <= k)
-                                  for i in range(1, size + 1)))
-
-    return roster("Home", "H", n_home), roster("Away", "A", n_players - n_home)
+    return tuple(Roster.from_columns(name, [f"{name[0]}{i}" for i in range(1, size + 1)],
+                                     starters=[i <= k for i in range(1, size + 1)])
+                 for name, size in (("Home", n_players - n_players // 2),
+                                    ("Away", n_players // 2)))
 
 
 def generate_random_game(
@@ -58,7 +55,7 @@ def generate_random_game(
         table.update(weights)
 
     home, away = _make_rosters(sport, n_players)
-    size = np.array([len(home.players), len(away.players)])  # nodes: home, then away
+    size = np.array([len(home.ids), len(away.ids)])  # nodes: home, then away
     share = np.array(list(table.values()), dtype=float)
     # a weight <= 0 or NaN drops its type, and passes need a team of two
     keep = (share > 0) & ((pair_rule[kinds] != 1) | (size[0] >= 2))
@@ -87,4 +84,4 @@ def generate_random_game(
     weight = rng.integers(lo[kind], hi[kind] + 1)
 
     return GameLog(sport, (home, away), EventArrays.from_rows(
-        np.stack((kind, a, b, weight), axis=1), home.player_ids + away.player_ids))
+        np.stack((kind, a, b, weight), axis=1), home.ids + away.ids))

@@ -12,6 +12,9 @@ from playrank.model import (
     FoulWithFreeThrows, GameLog, GameMetadata, Pass, Roster, RosterPlayer, Save,
     Score, Sport, UncontestedMissRebounded, Violation, _Goal, validate_game,
 )
+from playrank.pipeline import analyze_game
+from playrank.playscript import parse_playscript
+from playrank.render import render_report
 from playrank.synth import generate_random_game
 
 from golden import build_demo_log
@@ -276,6 +279,36 @@ def test_gamelog_eq_hash_and_pickle_read_the_columns_only(monkeypatch):
     swapped = log.arrays._replace(a=log.arrays.b, b=log.arrays.a)
     assert log != GameLog(log.sport, log.teams, swapped, log.metadata)
     assert log != GameLog(log.sport, log.teams[::-1], log.arrays, log.metadata)
+
+
+def test_rosters_stay_columns(monkeypatch, demo_playscript_path, demo_json_path):
+    def no_objects(self, *args, **kwargs):
+        raise AssertionError("built a RosterPlayer")
+
+    monkeypatch.setattr(RosterPlayer, "__init__", no_objects)
+    logs = [parse_gamelog(demo_json_path.read_text(encoding="utf-8")),
+            parse_playscript(demo_playscript_path.read_text(encoding="utf-8")),
+            generate_random_game(Sport.BASKETBALL, 350, 2_000, seed=2)]
+    for log in logs:
+        analysis = analyze_game(log)
+        render_report(analysis.report, analysis.teams, "json")
+    wide = logs[2].teams[0]
+    columns = Roster.from_columns(wide.name, list(wide.ids), wide.names, wide.starters)
+    assert columns == wide and hash(columns) == hash(wide)
+    copy = pickle.loads(pickle.dumps(wide))
+    assert copy == wide and hash(copy) == hash(wide)
+    assert (copy.ids, copy.names, copy.starters) == (wide.ids, wide.names, wide.starters)
+
+    monkeypatch.undo()
+    objects = Roster("Reds", [RosterPlayer("p1", "Pat", True), RosterPlayer("p2")])
+    columns = Roster.from_columns("Reds", ["p1", "p2"], ["Pat", ""], [True, False])
+    assert columns == objects and hash(columns) == hash(objects)
+    assert repr(columns) == repr(objects)
+    assert pickle.dumps(columns) == pickle.dumps(objects)
+    assert columns.players == (RosterPlayer("p1", "Pat", True), RosterPlayer("p2", "p2", False))
+    assert Roster(wide.name, wide.players) == wide
+    assert Roster.from_columns("X", ["a", "b"]).players == (RosterPlayer("a"), RosterPlayer("b"))
+    assert objects != Roster.from_columns("Reds", ["p1", "p2"], ["Pat", ""], [True, True])
 
 
 def test_gamelogs_that_validate_differently_are_unequal():
