@@ -139,6 +139,8 @@ def aggregates(report: IpmReport, metadata: GameMetadata | None = None) -> TeamA
             starter_aipm=sum(starters) / len(starters) if starters else None,
             label=None if winner is None else "winner" if winner == t else "loser",
         ))
+    if len(teams) != 2:  # validate_game rejects both; a library caller may skip it
+        raise ValueError(f"{len(teams)} team runs, not 2: an empty roster or a shared team name")
     return TeamAggregates(teams=(teams[0], teams[1]))
 
 

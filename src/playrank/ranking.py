@@ -3,11 +3,11 @@
 Construction
 ============
 Nodes are the n players (team 1 in roster order, then team 2) plus a goal
-node at index n.  The initial digraph has one arc in each direction between
-every player and the goal plus a goal self-loop, so any two nodes are joined
-by a walk of length exactly two.  T^2 is therefore entrywise positive for
-every game graph: the chain is primitive and its stationary vector unique.
-Events only ever add arcs, which cannot destroy those walks.
+node at index n.  The initial digraph has an arc each way between every
+player and the goal and a goal self-loop, so a walk of length two joins any
+two nodes; events only add arcs.  T^2 is therefore entrywise positive for
+every game graph, so the chain is primitive and its stationary vector unique;
+``check_primitive`` certifies this from the goal's arcs alone, in O(k + arcs).
 
 The digraph is its arcs, held as columns: arc i runs src[i] -> dst[i] with
 multiplicity weight[i], the 2n + 1 initial arcs first and then one per event
@@ -216,22 +216,20 @@ def to_transition(g: PlayDigraph) -> TransitionMatrix:
 
 
 def check_primitive(t: TransitionMatrix) -> int:
-    """Certify that some power of T is entrywise positive, in O(k^2), and
-    return the smallest such exponent, the witness.
+    """Certify T^2 > 0 from the goal hub, in O(k + arcs), and return 2.
 
-    A hub -- a node whose row and column are both all-positive, as the goal
-    node is in every graph from ``init_digraph`` -- joins any i and j by the
-    walk i -> hub -> j, so the smallest all-positive exponent is 1 when T
-    itself is positive and 2 otherwise.  A matrix without a hub did not come
-    from ``init_digraph``: CorruptedGraphError.
+    ``init_digraph`` gives the goal, the last node, an arc to and from every
+    node, so the walk i -> goal -> j joins any i and j.  Without both fans
+    the graph did not come from ``init_digraph``: CorruptedGraphError, even
+    if another node is a hub.  An all-positive T also gets 2, not witness 1.
     """
-    k = t.size
-    pattern = np.zeros((k, k), dtype=bool)  # where the arcs run; their weights are positive
-    pattern.reshape(-1)[t.graph.src * k + t.graph.dst] = True
-    if not pattern[:, pattern.all(axis=1)].all(axis=0).any():  # a full row with a full column
+    g, goal = t.graph, t.size - 1
+    into = np.bincount(g.src[g.dst == goal], minlength=goal + 1)
+    out = np.bincount(g.dst[g.src == goal], minlength=goal + 1)
+    if not (into.all() and out.all()):
         raise CorruptedGraphError(
-            "no node has an all-positive row and column; graph was not initialized")
-    return 1 if pattern.all() else 2
+            "the last node lacks an arc to or from some node; graph was not initialized")
+    return 2
 
 
 def stationary_power(

@@ -1,4 +1,9 @@
-"""The two structural IPM bounds, an oracle for the tests.
+"""Oracles for the tests: the general primitivity witness and the two
+structural IPM bounds.
+
+``primitivity_witness`` certifies primitivity through any hub and returns
+the smallest all-positive power of T; the production ``check_primitive``
+certifies only the goal hub that ``init_digraph`` builds.
 
 Two bounds follow from the per-game player average of exactly 50 that
 ``metrics.compute_ipm`` pins:
@@ -14,7 +19,29 @@ Two bounds follow from the per-game player average of exactly 50 that
 
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from playrank.metrics import IpmReport
+from playrank.ranking import CorruptedGraphError, TransitionMatrix
+
+
+def primitivity_witness(t: TransitionMatrix) -> int:
+    """Certify that some power of T is entrywise positive, in O(k^2), and
+    return the smallest such exponent, the witness.
+
+    A hub -- a node whose row and column are both all-positive, as the goal
+    node is in every graph from ``init_digraph`` -- joins any i and j by the
+    walk i -> hub -> j, so the smallest all-positive exponent is 1 when T
+    itself is positive and 2 otherwise.  A matrix without a hub did not come
+    from ``init_digraph``: CorruptedGraphError.
+    """
+    k = t.size
+    pattern = np.zeros((k, k), dtype=bool)  # where the arcs run; their weights are positive
+    pattern.reshape(-1)[t.graph.src * k + t.graph.dst] = True
+    if not pattern[:, pattern.all(axis=1)].all(axis=0).any():  # a full row with a full column
+        raise CorruptedGraphError(
+            "no node has an all-positive row and column; graph was not initialized")
+    return 1 if pattern.all() else 2
 
 
 class PropositionCheck(NamedTuple):

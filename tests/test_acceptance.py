@@ -24,15 +24,12 @@ from playrank.metrics import compute_ipm, aggregates
 from playrank.model import GameLog, Roster, RosterPlayer, Score, Sport, validate_game
 from playrank.pipeline import build_digraph
 from playrank.playscript import parse_playscript
-from playrank.ranking import (
-    check_primitive, init_digraph, stationary_direct, stationary_power,
-    to_transition,
-)
+from playrank.ranking import stationary_direct, stationary_power, to_transition
 from playrank.render import render_report
 from playrank.synth import generate_random_game
 
 from golden import DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_IPM_TABLE
-from propositions import check_proposition_bounds
+from propositions import check_proposition_bounds, primitivity_witness
 
 SWEEP_GAMES_PER_SPORT = 1000
 SWEEP_SUBSETS_PER_GAME = 10
@@ -75,7 +72,7 @@ def sweep():
                 worst["validate_failures"] += 1
                 continue
             t = to_transition(build_digraph(log))
-            worst["witnesses"].add(check_primitive(t))
+            worst["witnesses"].add(primitivity_witness(t))  # the smallest, via any hub
             vp = stationary_power(t)
             vd = stationary_direct(t)
             worst["residual"] = max(worst["residual"], vp.residual, vd.residual)

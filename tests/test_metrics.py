@@ -207,6 +207,17 @@ def test_aggregates_with_starters():
     assert reds.label is None and blues.label is None  # drawn score
 
 
+@pytest.mark.parametrize("rosters", [
+    (Roster("Same", (RosterPlayer("H1"),)), Roster("Same", (RosterPlayer("A1"), RosterPlayer("A2")))),
+    _rosters(0, 3),
+], ids=["one-team-name", "empty-roster"])
+def test_aggregates_needs_two_team_runs(rosters):
+    # validate_game rejects both games; a library caller may skip it
+    report = _report_for(GameLog(Sport.SOCCER, rosters, ()))
+    with pytest.raises(ValueError, match="1 team runs, not 2"):
+        aggregates(report)
+
+
 def test_equal_ipm_game_has_balanced_aipm():
     report = _report_for(GameLog(Sport.HOCKEY, _rosters(3, 3), ()))
     aggs = aggregates(report, GameMetadata(final_score="not a score"))

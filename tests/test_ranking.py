@@ -9,8 +9,8 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
-    EVENT_SPECS, GOAL, GameLog, Pass, Roster, RosterPlayer, Save, Score, Sport,
-    UncontestedMissDead,
+    EVENT_SPECS, GOAL, MAX_PLAYERS, GameLog, Pass, Roster, RosterPlayer, Save,
+    Score, Sport, UncontestedMissDead,
 )
 from playrank.pipeline import (
     SolverDisagreement, analyze_game, build_digraph, solve_stationary,
@@ -27,6 +27,7 @@ from golden import (
     DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_IPM_EXACT, DEMO_STATIONARY,
     build_demo_log,
 )
+from propositions import primitivity_witness
 
 
 def _rosters(n1, n2, prefix=("H", "A")):
@@ -194,14 +195,18 @@ def test_row_sums_exactly_one_and_monotone(log):
 
 
 # --- primitivity -----------------------------------------------------------
+# primitivity_witness (tests/propositions.py) is the oracle: any hub, and the
+# smallest witness.  check_primitive certifies the goal hub only, and says 2.
 
 def test_initialized_graphs_are_primitive_with_witness_two():
     t = to_transition(init_digraph(_rosters(5, 4)))
+    assert primitivity_witness(t) == 2
     assert check_primitive(t) == 2
 
 
 def test_demo_graph_witness_two():
     t = to_transition(build_digraph(build_demo_log()))
+    assert primitivity_witness(t) == 2
     assert check_primitive(t) == 2
 
 
@@ -252,10 +257,10 @@ def count_matrices(draw, max_k=6, hub=None):
 @given(counts=count_matrices())
 def test_check_primitive_matches_brute_force_witness(counts):
     if _has_hub(counts):
-        assert check_primitive(_pattern_matrix(counts)) == _smallest_witness(counts)
+        assert primitivity_witness(_pattern_matrix(counts)) == _smallest_witness(counts)
     else:  # not a graph init_digraph can build, primitive or not
         with pytest.raises(CorruptedGraphError):
-            check_primitive(_pattern_matrix(counts))
+            primitivity_witness(_pattern_matrix(counts))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 7])
@@ -266,8 +271,9 @@ def test_hubless_cycle_with_chord_needs_the_wielandt_walk(k):
     counts[np.arange(k), (np.arange(k) + 1) % k] = 1
     counts[k - 1, 1] = 1
     assert not _has_hub(counts)
-    with pytest.raises(CorruptedGraphError):
-        check_primitive(_pattern_matrix(counts))
+    for certify in (primitivity_witness, check_primitive):
+        with pytest.raises(CorruptedGraphError):
+            certify(_pattern_matrix(counts))
     assert _smallest_witness(counts) == (k - 1) ** 2 + 1
 
 
@@ -275,6 +281,34 @@ def test_hubless_cycle_with_chord_needs_the_wielandt_walk(k):
 @given(log=games)
 def test_every_game_graph_has_witness_two(log):
     t = to_transition(build_digraph(log))
+    assert primitivity_witness(t) == 2  # the smallest witness
+    assert check_primitive(t) == 2  # the goal hub's certificate
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=count_matrices())
+def test_check_primitive_accepts_exactly_a_last_node_hub(counts):
+    t = _pattern_matrix(counts)
+    if (counts[-1, :] > 0).all() and (counts[:, -1] > 0).all():
+        assert check_primitive(t) == 2
+    else:  # even where the oracle finds another hub
+        with pytest.raises(CorruptedGraphError):
+            check_primitive(t)
+
+
+@pytest.mark.parametrize("arc", [(1, 3), (3, 1)], ids=["into-last", "out-of-last"])
+def test_a_hub_other_than_the_last_node_is_corrupt(arc):
+    counts = np.ones((4, 4), dtype=np.int64)
+    counts[arc] = 0
+    t = _pattern_matrix(counts)
+    assert primitivity_witness(t) == 2  # node 0 is a hub
+    with pytest.raises(CorruptedGraphError):
+        check_primitive(t)
+
+
+def test_an_all_positive_chain_certifies_two_not_one():
+    t = _pattern_matrix(np.ones((3, 3), dtype=np.int64))
+    assert primitivity_witness(t) == 1
     assert check_primitive(t) == 2
 
 
@@ -508,13 +542,19 @@ def test_near_periodic_game_is_solved_directly():
 
 # --- memory ----------------------------------------------------------------
 
-@pytest.mark.parametrize("solver", ["power", "direct", "both"])
-def test_analysis_holds_no_dense_matrix(solver):
-    # At k = 351 nodes one k x k float64 matrix is 8 k^2 bytes (986 kB).  Each
-    # solver builds one such matrix from the arcs and drops it; the analysis
-    # keeps the arc columns, which grow with the events, not with k^2.
-    log = generate_random_game(Sport.SOCCER, 350, 2_000, seed=7)
-    matrix = 8 * (log.n_players + 1) ** 2
+@pytest.mark.parametrize("solver, game, bytes_per_entry", [
+    pytest.param(solver, (Sport.SOCCER, 350, 2_000, 7), 12, id=solver)
+    for solver in ("power", "direct", "both")
+] + [pytest.param("power", (Sport.BASKETBALL, MAX_PLAYERS, 10_000, 1), 1, id="power-at-cap")])
+def test_analysis_holds_no_dense_matrix(solver, game, bytes_per_entry):
+    # At k = 351 nodes one k x k float64 matrix is 8 k^2 bytes (986 kB).  The
+    # direct solve builds one such matrix from the arcs and drops it (a peak
+    # of at most 1.5 of it); the analysis keeps the arc columns, which grow
+    # with the events, not with k^2.  The power path builds nothing k x k: at
+    # the player cap its peak stays below k^2 bytes, so not even a boolean
+    # pattern fits.
+    log = generate_random_game(*game)
+    k = log.n_players + 1
     analyze_game(log, solver)  # warm caches and lazy imports
     tracemalloc.start()
     try:
@@ -523,6 +563,6 @@ def test_analysis_holds_no_dense_matrix(solver):
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before <= 1.5 * matrix
-    assert after - before <= 0.5 * matrix
+    assert peak - before < bytes_per_entry * k ** 2
+    assert after - before <= 4 * k ** 2  # half a float64 matrix
     assert analysis.rank.method == ("direct" if solver == "direct" else "power")

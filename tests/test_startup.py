@@ -7,9 +7,10 @@ import sys
 from conftest import REPO_ROOT
 
 # Modules that are slow to import and that no first game needs: numpy.ma
-# (pulled in by np.unique), numpy.random, and packages playrank does not
-# depend on.
-COLD_MODULES = ("numpy.ma", "numpy.random", "scipy", "orjson")
+# (pulled in by np.unique), numpy.random, packages playrank does not depend
+# on, and the csv, fractions and decimal modules that render and ranking
+# import only on first use.
+COLD_MODULES = ("numpy.ma", "numpy.random", "scipy", "orjson", "csv", "fractions", "decimal")
 
 FIRST_GAMES = """
 import sys
