@@ -17,7 +17,10 @@ inserted or one deleted (see ``PLAY_TOKENS``), and one header fault each
 
 Each line names the input, then gives the SHA-256 of the digraph's arc
 ``counts``, of the transition matrix's float64 ``floats`` (C-ordered bytes)
-as ``matrix``, so the chain is compared bit for bit, of the report in
+as ``matrix``, so the chain is compared bit for bit, of the exact
+``render_matrix`` row-stochastic dump as ``rational`` (games of at most
+``RATIONAL_MAX_NODES`` nodes; "-" above, as the dump grows with the square
+of the nodes), of the report in
 ``json``, ``table`` and ``csv``, of the JSON report with ``--solver
 direct`` and with ``--solver both`` (which adds the power/direct gap), of
 the ``validate_game`` list and of the ``error`` (class, ``kind`` where the
@@ -49,12 +52,13 @@ import gen  # noqa: E402  (the benchmark's generator, read only)
 from playrank import (  # noqa: E402
     GameLog, PlayscriptError, RankingError, SchemaError, Sport, analyze_game,
     build_digraph, compare_games, generate_random_game, parse_gamelog,
-    parse_playscript, render_comparison, render_gamelog, render_report,
-    validate_game,
+    parse_playscript, render_comparison, render_gamelog, render_matrix,
+    render_report, validate_game,
 )
 
-FIELDS = ("counts", "matrix", "json", "table", "csv", "direct", "both", "violations", "error",
-          "api")
+FIELDS = ("counts", "matrix", "rational", "json", "table", "csv", "direct", "both",
+          "violations", "error", "api")
+RATIONAL_MAX_NODES = 64
 ROUND = 24  # season games per comparison, as the benchmark's rounds
 SYNTH_SEEDS = range(21)
 
@@ -122,6 +126,8 @@ def digest(text: str, fmt: str) -> dict[str, str]:
         return out
     out["counts"] = _sha(_array(analysis.digraph.counts))
     out["matrix"] = _sha(_array(analysis.transition.floats))
+    if len(analysis.digraph.nodes) <= RATIONAL_MAX_NODES:
+        out["rational"] = _sha(render_matrix(analysis.digraph, "row-stochastic"))
     for fmt in ("json", "table", "csv"):
         out[fmt] = _sha(render_report(analysis.report, analysis.teams, fmt))
     for solver in ("direct", "both"):

@@ -9,8 +9,7 @@ whose per-game player average is always 50.
 from .gamelog_json import SchemaError, parse_gamelog, render_gamelog
 from .metrics import (
     CrossGameRow, CrossGameTable, DegenerateGoalRankError, IpmReport,
-    PlayerIpm, TeamAggregate, TeamAggregates, aggregates, compare_games,
-    compute_ipm,
+    PlayerIpm, TeamAggregate, aggregates, compare_games, compute_ipm,
 )
 from .model import (
     GOAL, Event, GameLog, GameMetadata, NodeRef, Roster, RosterPlayer, Sport,
@@ -23,9 +22,9 @@ from .pipeline import (
 from .playscript import PlayscriptError, parse_playscript
 from .ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
-    RankingError, SingularSystemError, TransitionMatrix, apply_events,
-    arc_columns, check_primitive, init_digraph, stationary_direct,
-    stationary_power, to_transition,
+    RankingError, SingularSystemError, apply_events, arc_columns,
+    check_primitive, init_digraph, stationary_direct, stationary_power,
+    to_transition,
 )
 from .render import render_comparison, render_matrix, render_report
 from .synth import generate_random_game
@@ -39,7 +38,7 @@ __all__ = [
     "PlayDigraph", "PlayerIpm", "PlayscriptError", "RankVector",
     "RankingError", "Roster", "RosterPlayer", "SchemaError",
     "SingularSystemError", "SolverDisagreement", "Sport", "TeamAggregate",
-    "TeamAggregates", "TransitionMatrix", "ValidationFailed", "Violation",
+    "ValidationFailed", "Violation",
     "aggregates", "analyze_game", "apply_events", "arc_columns",
     "build_digraph", "check_primitive", "compare_games", "compute_ipm",
     "generate_random_game", "init_digraph",

@@ -170,9 +170,8 @@ def _cmd_batch(args) -> int:
             analysis.report, analysis.teams, args.format,
             solver_gap=analysis.solver_gap))
 
-        teams = analysis.teams.teams
-        winner = next((t for t in teams if t.label == "winner"), None)
-        loser = next((t for t in teams if t.label == "loser"), None)
+        winner = next((t for t in analysis.teams if t.label == "winner"), None)
+        loser = next((t for t in analysis.teams if t.label == "loser"), None)
         writer.writerow([stem] + [
             "" if t is None or getattr(t, f) is None else f"{getattr(t, f):.2f}"
             for f in ("aipm", "starter_aipm") for t in (winner, loser)])

@@ -65,10 +65,6 @@ class TeamAggregate(NamedTuple):
     label: str | None           # "winner" / "loser" when metadata settles it
 
 
-class TeamAggregates(NamedTuple):
-    teams: tuple[TeamAggregate, TeamAggregate]
-
-
 class CrossGameRow(NamedTuple):
     player: str
     ipms: dict[str, float | None]  # game id -> IPM, None where absent
@@ -124,8 +120,9 @@ def _winner_index(metadata: GameMetadata | None) -> int | None:
     return 0 if a > b else 1
 
 
-def aggregates(report: IpmReport, metadata: GameMetadata | None = None) -> TeamAggregates:
-    """Per-team average IPMs (all players and designated starters)."""
+def aggregates(report: IpmReport,
+               metadata: GameMetadata | None = None) -> tuple[TeamAggregate, TeamAggregate]:
+    """Per-team average IPMs (all players and designated starters), team 1 first."""
     winner = _winner_index(metadata)
     teams = []
     # players keep roster order, so each team is one run; sums stay in that order
@@ -141,7 +138,7 @@ def aggregates(report: IpmReport, metadata: GameMetadata | None = None) -> TeamA
         ))
     if len(teams) != 2:  # validate_game rejects both; a library caller may skip it
         raise ValueError(f"{len(teams)} team runs, not 2: an empty roster or a shared team name")
-    return TeamAggregates(teams=(teams[0], teams[1]))
+    return teams[0], teams[1]
 
 
 def compare_games(reports: Mapping[str, IpmReport]) -> CrossGameTable:

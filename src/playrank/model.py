@@ -424,14 +424,16 @@ class GameLog(Record):
     """One game.  ``events`` is an EventArrays, as the parsers and the
     generator pass, or event objects, read into one; ``arrays`` holds it,
     and the ``events`` property rebuilds the objects from it on each call.
-    An object that is no event type, or a role that cannot be hashed, is a
-    TypeError here."""
+    An unknown sport is a ValueError here; not two Rosters, an object that
+    is no event type, or a role that cannot be hashed, a TypeError."""
 
     __slots__ = ("sport", "teams", "metadata", "arrays")
     _fields = ("sport", "teams", "events", "metadata")
 
     def __init__(self, sport: Sport, teams, events, metadata: GameMetadata = _NO_METADATA):
-        teams = tuple(teams)
+        sport, teams = Sport(sport), tuple(teams)
+        if len(teams) != 2 or not all(isinstance(t, Roster) for t in teams):
+            raise TypeError(f"teams must be two Rosters, not {[type(t).__name__ for t in teams]}")
         if not isinstance(events, EventArrays):
             events = tuple(events)
             kind = list(map(KIND_OF.get, map(type, events)))

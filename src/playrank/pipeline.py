@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from .gamelog_json import parse_gamelog
-from .metrics import IpmReport, TeamAggregates, aggregates, compute_ipm
+from .metrics import IpmReport, TeamAggregate, aggregates, compute_ipm
 from .model import GameLog, Record, Violation, validate_game
 from .playscript import parse_playscript
 from .ranking import (
     POWER_MAX_ITERS, POWER_TOL, NonConvergenceError, PlayDigraph, RankVector,
-    RankingError, TransitionMatrix, apply_events, check_primitive,
-    init_digraph, stationary_direct, stationary_power, to_transition,
+    RankingError, apply_events, check_primitive, init_digraph,
+    stationary_direct, stationary_power, to_transition,
 )
 
 SOLVERS = ("power", "direct", "both")
@@ -29,15 +29,16 @@ class ValidationFailed(Exception):
 
 
 class GameAnalysis(Record, by_identity=True):
-    """One ranked game.  The digraph and transition hold arc columns and
-    row sums, so nothing here grows with the square of the node count."""
+    """One ranked game, held as arc columns: nothing grows with the square of
+    the node count.  ``transition`` is ``digraph`` itself, kept with the
+    ``to_transition`` call while the benchmark harness reads them."""
 
     log: GameLog
     digraph: PlayDigraph
-    transition: TransitionMatrix
+    transition: PlayDigraph
     rank: RankVector
     report: IpmReport
-    teams: TeamAggregates
+    teams: tuple[TeamAggregate, TeamAggregate]
     solver_gap: float | None  # max |power - direct|, only for solver="both"
 
 
@@ -53,7 +54,7 @@ def build_digraph(log: GameLog) -> PlayDigraph:
 
 
 def solve_stationary(
-    t: TransitionMatrix,
+    t: PlayDigraph,
     solver: str = "power",
     tol: float = POWER_TOL,
     max_iters: int = POWER_MAX_ITERS,

@@ -15,15 +15,16 @@ that adds one (``arc_columns``).  Building it costs O(n + events), not
 O(k^2) for k = n + 1 nodes.  The dense int64 arc-count matrix ``counts`` is
 built only when asked for (matrix dumps, the exact ``rational`` rows, tests).
 
-The transition matrix is row-stochastic, T[i][j] = arcs(i->j) / outdeg(i),
-with the out-degrees summed from the arcs.  It is held exactly as Fractions
-on request (every row sums to exactly 1), and ``floats`` is its float64
-projection.  The stationary vector v solves T^t v = v with sum(v) = 1 and is
-computed two independent ways: power iteration on T^t and a dense linear
-solve (LU with partial pivoting).  Each serves as an oracle for the other.
-Power iteration steps on the arcs (one weighted bincount per step, O(arcs)),
-never on a k x k matrix; the solve scatters the arcs into a k x k float64 T
-and drops it on return, so nothing k x k outlives a solve.
+The digraph is its own transition matrix, T[i][j] = arcs(i->j) / outdeg(i),
+row-stochastic, with the out-degrees (``row_sums``) summed from the arcs.
+It is held exactly as Fractions on request (every row sums to exactly 1),
+and ``floats`` is its float64 projection.  The stationary vector v solves
+T^t v = v with sum(v) = 1 and is computed two independent ways: power
+iteration on T^t and a dense linear solve (LU with partial pivoting).  Each
+serves as an oracle for the other.  Power iteration steps on the arcs (one
+weighted bincount per step, O(arcs)), never on a k x k matrix; the solve
+scatters the arcs into a k x k float64 T and drops it on return, so nothing
+k x k outlives a solve.
 
 Orientation note: dumps of the column-stochastic form are the transpose of
 the internal row-stochastic matrix.
@@ -63,7 +64,8 @@ class PlayDigraph(Record, by_identity=True):
     """Directed multigraph as arc columns: arc i runs ``src[i]`` ->
     ``dst[i]`` with multiplicity ``weight[i]``; a pair may repeat.
 
-    ``nodes`` fixes the index order: players, then GOAL last.
+    ``nodes`` fixes the index order: players, then GOAL last.  The chain's T
+    is read off it on first access: ``row_sums``, ``rational``, ``floats``.
     """
 
     nodes: tuple[NodeRef, ...]
@@ -86,39 +88,30 @@ class PlayDigraph(Record, by_identity=True):
         np.add.at(counts, (self.src, self.dst), self.weight)
         return counts
 
-
-class TransitionMatrix(Record, by_identity=True):
-    """Row-stochastic matrix of the chain induced by a PlayDigraph.
-
-    ``row_sums`` are the nodes' out-degrees.  ``rational`` rows sum to
-    exactly 1; ``floats`` is the float64 projection.  Both are built on
-    first access; the direct solve builds its own matrix with ``_dense``
-    and power iteration steps with ``_arc_matvec``.
-    """
-
-    graph: PlayDigraph
-    row_sums: np.ndarray
-
-    @property
-    def nodes(self) -> tuple[NodeRef, ...]:
-        return self.graph.nodes
-
-    @property
-    def size(self) -> int:
-        return len(self.graph.nodes)
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """Out-degrees, the weights summed by ``src``: T's row divisors."""
+        row_sums = np.zeros(len(self.nodes), dtype=np.int64)
+        np.add.at(row_sums, self.src, self.weight)
+        if (row_sums == 0).any():
+            bad = int(np.argmin(row_sums))
+            raise CorruptedGraphError(
+                f"node {self.nodes[bad]!r} has no outgoing arcs; graph was not initialized"
+            )
+        return row_sums
 
     def _dense(self) -> np.ndarray:
         """A new C-ordered float64 T scattered from the arcs: the integer
         counts (exact in float64), each divided by its row's sum."""
-        g, k = self.graph, self.size
-        m = np.bincount(g.src * k + g.dst, g.weight, k * k).reshape(k, k)
+        k = len(self.nodes)
+        m = np.bincount(self.src * k + self.dst, self.weight, k * k).reshape(k, k)
         m /= self.row_sums[:, None]
         return m
 
     def _arc_matvec(self) -> Callable[[np.ndarray], np.ndarray]:
         """v -> T^t v as one weighted bincount over the arcs, O(arcs) per call."""
-        g, k = self.graph, self.size
-        src, dst, p = g.src, g.dst, g.weight / self.row_sums[g.src]
+        k, src, dst = len(self.nodes), self.src, self.dst
+        p = self.weight / self.row_sums[src]
         return lambda v: np.bincount(dst, p * v[src], k)
 
     @cached_property
@@ -131,7 +124,7 @@ class TransitionMatrix(Record, by_identity=True):
 
         return tuple(
             tuple(Fraction(int(c), int(s)) for c in row)
-            for row, s in zip(self.graph.counts, self.row_sums)
+            for row, s in zip(self.counts, self.row_sums)
         )
 
 
@@ -203,19 +196,13 @@ def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
                                   for pair in zip((g.src, g.dst, g.weight), arc_columns(log))))
 
 
-def to_transition(g: PlayDigraph) -> TransitionMatrix:
-    """Row-normalize arc counts into the chain's transition matrix."""
-    row_sums = np.zeros(len(g.nodes), dtype=np.int64)
-    np.add.at(row_sums, g.src, g.weight)
-    if (row_sums == 0).any():
-        bad = int(np.argmin(row_sums))
-        raise CorruptedGraphError(
-            f"node {g.nodes[bad]!r} has no outgoing arcs; graph was not initialized"
-        )
-    return TransitionMatrix(g, row_sums)
+def to_transition(g: PlayDigraph) -> PlayDigraph:
+    """``g``, its out-degrees summed: the digraph is its own transition matrix."""
+    g.row_sums  # raises CorruptedGraphError for a node without out-arcs
+    return g
 
 
-def check_primitive(t: TransitionMatrix) -> int:
+def check_primitive(t: PlayDigraph) -> int:
     """Certify T^2 > 0 from the goal hub, in O(k + arcs), and return 2.
 
     ``init_digraph`` gives the goal, the last node, an arc to and from every
@@ -223,9 +210,9 @@ def check_primitive(t: TransitionMatrix) -> int:
     the graph did not come from ``init_digraph``: CorruptedGraphError, even
     if another node is a hub.  An all-positive T also gets 2, not witness 1.
     """
-    g, goal = t.graph, t.size - 1
-    into = np.bincount(g.src[g.dst == goal], minlength=goal + 1)
-    out = np.bincount(g.dst[g.src == goal], minlength=goal + 1)
+    goal = len(t.nodes) - 1
+    into = np.bincount(t.src[t.dst == goal], minlength=goal + 1)
+    out = np.bincount(t.dst[t.src == goal], minlength=goal + 1)
     if not (into.all() and out.all()):
         raise CorruptedGraphError(
             "the last node lacks an arc to or from some node; graph was not initialized")
@@ -233,7 +220,7 @@ def check_primitive(t: TransitionMatrix) -> int:
 
 
 def stationary_power(
-    t: TransitionMatrix,
+    t: PlayDigraph,
     tol: float = POWER_TOL,
     max_iters: int = POWER_MAX_ITERS,
 ) -> RankVector:
@@ -251,7 +238,7 @@ def stationary_power(
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    k, matvec = t.size, t._arc_matvec()
+    k, matvec = len(t.nodes), t._arc_matvec()
     v = np.full(k, 1.0 / k)
     steps = []
     for it in range(1, max_iters + 1):
@@ -275,7 +262,7 @@ def stationary_power(
     )
 
 
-def stationary_direct(t: TransitionMatrix) -> RankVector:
+def stationary_direct(t: PlayDigraph) -> RankVector:
     """Stationary vector from the linear system (T^t - I) v = 0, sum(v) = 1.
 
     The redundant last equation is replaced by the normalization row and the
@@ -283,7 +270,7 @@ def stationary_direct(t: TransitionMatrix) -> RankVector:
     power route, so the two can cross-check each other.  The residual
     max |T^t v - v| is summed over the arcs.
     """
-    k = t.size
+    k = len(t.nodes)
     a = t._dense().T  # T^t, F-ordered as LAPACK takes it; no k x k identity
     a[np.diag_indices(k)] -= 1.0
     a[-1, :] = 1.0

@@ -13,9 +13,9 @@ import io
 import json
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .metrics import CrossGameTable, IpmReport, PlayerIpm, TeamAggregates
+from .metrics import CrossGameTable, IpmReport, PlayerIpm, TeamAggregate
 from .model import GOAL
-from .ranking import PlayDigraph, to_transition
+from .ranking import PlayDigraph
 
 REPORT_FORMATS = ("table", "csv", "json")
 COMPARISON_FORMATS = ("table", "csv")
@@ -32,13 +32,13 @@ def _json_floats(values) -> list | map:
     return reprs if _NONFINITE.keys().isdisjoint(reprs) else map(_NONFINITE.get, reprs, reprs)
 
 
-def _team_lines(aggs: TeamAggregates) -> list[str]:
+def _team_lines(aggs: tuple[TeamAggregate, TeamAggregate]) -> list[str]:
     return [f"{t.team}: AIPM {t.aipm:.2f}, starter AIPM "
             + ("n/a" if t.starter_aipm is None else f"{t.starter_aipm:.2f}")
-            + (f" ({t.label})" if t.label else "") for t in aggs.teams]
+            + (f" ({t.label})" if t.label else "") for t in aggs]
 
 
-def render_report(report: IpmReport, aggs: TeamAggregates | None,
+def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] | None,
                   fmt: str = "table", solver_gap: float | None = None) -> str:
     if fmt == "table":
         lines = ["Player | Team | IPM"]
@@ -67,7 +67,7 @@ def render_report(report: IpmReport, aggs: TeamAggregates | None,
         if solver_gap is not None:
             doc["solver_gap"] = solver_gap
         if aggs is not None:
-            doc["teams"] = [t._asdict() for t in aggs.teams]
+            doc["teams"] = [t._asdict() for t in aggs]
         text = json.dumps(doc, indent=2)
         if report.standings:
             player, name, team, starter, rank, ipm = zip(*report.standings)
@@ -90,7 +90,7 @@ def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
     if form == "adjacency":
         rows = [" ".join(map(str, row)) for row in graph.counts.tolist()]
     elif form in ("row-stochastic", "column-stochastic"):
-        rational = to_transition(graph).rational
+        rational = graph.rational
         if form == "column-stochastic":
             rational = tuple(zip(*rational))
         rows = [" ".join(str(c) for c in row) for row in rational]

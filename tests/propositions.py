@@ -22,10 +22,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from playrank.metrics import IpmReport
-from playrank.ranking import CorruptedGraphError, TransitionMatrix
+from playrank.ranking import CorruptedGraphError, PlayDigraph
 
 
-def primitivity_witness(t: TransitionMatrix) -> int:
+def primitivity_witness(t: PlayDigraph) -> int:
     """Certify that some power of T is entrywise positive, in O(k^2), and
     return the smallest such exponent, the witness.
 
@@ -35,9 +35,9 @@ def primitivity_witness(t: TransitionMatrix) -> int:
     itself is positive and 2 otherwise.  A matrix without a hub did not come
     from ``init_digraph``: CorruptedGraphError.
     """
-    k = t.size
+    k = len(t.nodes)
     pattern = np.zeros((k, k), dtype=bool)  # where the arcs run; their weights are positive
-    pattern.reshape(-1)[t.graph.src * k + t.graph.dst] = True
+    pattern.reshape(-1)[t.src * k + t.dst] = True
     if not pattern[:, pattern.all(axis=1)].all(axis=0).any():  # a full row with a full column
         raise CorruptedGraphError(
             "no node has an all-positive row and column; graph was not initialized")

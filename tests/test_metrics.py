@@ -172,7 +172,7 @@ def test_ipm_sum_mean_and_min_invariants(log):
 def test_demo_aggregates_with_score_metadata():
     report = _report_for(build_demo_log())
     aggs = aggregates(report, GameMetadata(final_score="3-2"))
-    reds, blues = aggs.teams
+    reds, blues = aggs
     assert reds.team == "Reds" and blues.team == "Blues"
     assert abs(reds.aipm - 58.61) <= 0.005
     assert abs(blues.aipm - 41.39) <= 0.005
@@ -185,8 +185,8 @@ def test_demo_aggregates_with_score_metadata():
 def test_aggregates_without_metadata_or_starters():
     report = _report_for(build_demo_log())
     aggs = aggregates(report, None)
-    assert all(t.label is None for t in aggs.teams)
-    assert all(t.starter_aipm is None for t in aggs.teams)  # nobody designated
+    assert all(t.label is None for t in aggs)
+    assert all(t.starter_aipm is None for t in aggs)  # nobody designated
 
 
 def test_aggregates_with_starters():
@@ -200,7 +200,7 @@ def test_aggregates_with_starters():
     log = GameLog(log.sport, teams, log.events)
     report = _report_for(log)
     aggs = aggregates(report, GameMetadata(final_score="3-3"))
-    reds, blues = aggs.teams
+    reds, blues = aggs
     by_id = {p.player: p.ipm for p in report.players}
     assert abs(reds.starter_aipm - (by_id["A"] + by_id["B"]) / 2) <= 1e-12
     assert abs(blues.starter_aipm - (by_id["D"] + by_id["E"]) / 2) <= 1e-12
@@ -221,8 +221,8 @@ def test_aggregates_needs_two_team_runs(rosters):
 def test_equal_ipm_game_has_balanced_aipm():
     report = _report_for(GameLog(Sport.HOCKEY, _rosters(3, 3), ()))
     aggs = aggregates(report, GameMetadata(final_score="not a score"))
-    assert all(abs(t.aipm - 50.0) <= 1e-9 for t in aggs.teams)
-    assert all(t.label is None for t in aggs.teams)
+    assert all(abs(t.aipm - 50.0) <= 1e-9 for t in aggs)
+    assert all(t.label is None for t in aggs)
 
 
 # --- proposition bounds ----------------------------------------------------

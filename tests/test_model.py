@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
     EVENT_SPECS, GOAL, OPPONENTS, TEAMMATES, ContestedMiss, Event,
-    FoulWithFreeThrows, GameLog, GameMetadata, Pass, Roster, RosterPlayer, Save,
-    Score, Sport, UncontestedMissRebounded, Violation, _Goal, validate_game,
+    FoulNoFreeThrows, FoulWithFreeThrows, GameLog, GameMetadata, Pass, Roster,
+    RosterPlayer, Save, Score, Sport, UncontestedMissRebounded, Violation, _Goal,
+    validate_game,
 )
 from playrank.pipeline import analyze_game
 from playrank.playscript import parse_playscript
@@ -279,6 +280,24 @@ def test_gamelog_eq_hash_and_pickle_read_the_columns_only(monkeypatch):
     swapped = log.arrays._replace(a=log.arrays.b, b=log.arrays.a)
     assert log != GameLog(log.sport, log.teams, swapped, log.metadata)
     assert log != GameLog(log.sport, log.teams[::-1], log.arrays, log.metadata)
+
+
+def test_gamelog_takes_a_sport_name_and_refuses_an_unknown_one():
+    events = (FoulNoFreeThrows("H1", "A1"),)  # a basketball event
+    log = GameLog("soccer", _rosters(), events)
+    assert log.sport is Sport.SOCCER and log == GameLog(Sport.SOCCER, _rosters(), events)
+    assert validate_game(log) == [
+        Violation(0, "foul_no_free_throws is not a soccer event")]
+    with pytest.raises(ValueError, match="'curling' is not a valid Sport"):
+        GameLog("curling", _rosters(), ())
+
+
+@pytest.mark.parametrize("teams", [
+    _rosters()[:1], _rosters() + _rosters()[:1], ("Home", "Away"), (_rosters()[0], None),
+], ids=["one-roster", "three-rosters", "names", "a-none"])
+def test_gamelog_refuses_teams_other_than_two_rosters(teams):
+    with pytest.raises(TypeError, match="teams must be two Rosters"):
+        GameLog(Sport.BASKETBALL, teams, ())
 
 
 def test_rosters_stay_columns(monkeypatch, demo_playscript_path, demo_json_path):

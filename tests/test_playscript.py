@@ -1,7 +1,9 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from playrank.model import Dispossess, Pass, Score, Sport, UnforcedTurnover, validate_game
-from playrank.pipeline import build_digraph
+from playrank.pipeline import build_digraph, parse_game_text
 from playrank.playscript import PlayscriptError, parse_playscript
 
 from golden import DEMO_ADJACENCY, build_demo_log
@@ -171,12 +173,31 @@ def test_player_id_containing_the_separator_rejected():
     assert "'A->B'" in err.message
 
 
-@pytest.mark.parametrize("pid, sequence", [("#!a", "#!a -> B -> G"), ("#x", "#x -> B")])
+@pytest.mark.parametrize("pid, sequence", [
+    ("#!a", "#!a -> B -> G"), ("#x", "#x -> B"), ("{a", "{a -> B -> G"),
+])
 def test_player_id_starting_with_a_hash_rejected(pid, sequence):
-    # a sequence line naming it would read as a comment or a directive
+    # a sequence line naming it would read as a comment or a directive; one
+    # starting with '{' would, first in the document, read as JSON
     err = _err(f"#team Reds {pid} B\n#team Blues D E\n{sequence}\n")
     assert (err.kind, err.line, err.column) == ("malformed-header", 1, 1)
     assert f"{pid!r}" in err.message
+
+
+# ids as a #team line splits them: no whitespace, no line break
+_ids = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs")), min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pid=_ids | _ids.map("{".__add__))
+def test_auto_detection_reads_a_playscript_whose_first_line_names_any_valid_id(pid):
+    doc = f"{pid} -> B -> G\n#team Reds {pid} B\n#team Blues D E\n"
+    try:
+        expected = parse_playscript(doc)
+    except PlayscriptError as err:  # the #team line refuses pid
+        assert err.kind == "malformed-header"
+        return
+    assert parse_game_text(doc) == expected
 
 
 def test_team_header_needs_players():

@@ -17,9 +17,8 @@ from playrank.pipeline import (
 )
 from playrank.ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
-    SingularSystemError, TransitionMatrix, apply_events, arc_columns,
-    check_primitive, init_digraph, stationary_direct, stationary_power,
-    to_transition,
+    SingularSystemError, apply_events, arc_columns, check_primitive,
+    init_digraph, stationary_direct, stationary_power, to_transition,
 )
 from playrank.synth import generate_random_game
 
@@ -156,7 +155,7 @@ def test_counts_are_built_on_first_access_only():
 @given(log=games)
 def test_floats_are_the_counts_over_the_row_sums_exactly(log):
     t = to_transition(build_digraph(log))
-    counts = t.graph.counts
+    counts = t.counts
     assert np.array_equal(t.row_sums, counts.sum(axis=1))
     assert np.array_equal(t.floats, counts / t.row_sums[:, None])
     assert t.floats.flags.c_contiguous
@@ -179,9 +178,22 @@ def test_demo_transition_matches_column_stochastic_reference():
 def test_zero_row_is_a_corrupted_graph():
     counts = np.zeros((3, 3), dtype=np.int64)
     counts[2, :] = 1
-    g = _digraph(counts, ("p", "q", GOAL))
-    with pytest.raises(CorruptedGraphError):
-        to_transition(g)
+    # the out-degrees are summed where they are read, so every solver given
+    # the digraph itself refuses it too
+    for read in (to_transition, lambda g: g.row_sums, stationary_power, stationary_direct,
+                 solve_stationary):
+        with pytest.raises(CorruptedGraphError, match="node 'p' has no outgoing arcs"):
+            read(_digraph(counts, ("p", "q", GOAL)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(log=games)
+def test_solvers_take_the_digraph_straight_from_build_digraph(log):
+    g, t = build_digraph(log), to_transition(build_digraph(log))
+    for solve in (lambda t: stationary_power(t, max_iters=1_000_000), stationary_direct):
+        raw, via = solve(g), solve(t)
+        assert raw.values.tobytes() == via.values.tobytes()  # bit-identical
+        assert (raw.residual, raw.iterations) == (via.residual, via.iterations)
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,9 +229,9 @@ def test_identity_pattern_is_not_primitive():
 
 
 def _pattern_matrix(counts):
-    """The chain of the arc counts ``counts``, zero rows allowed."""
-    counts = np.asarray(counts, dtype=np.int64)
-    return TransitionMatrix(_digraph(counts), counts.sum(axis=1))
+    """The chain of the arc counts ``counts``; a zero row raises only once
+    ``row_sums`` is read."""
+    return _digraph(counts)
 
 
 def _has_hub(counts):
@@ -395,7 +407,7 @@ def test_power_and_direct_agree(log):
     # the direct residual, summed over the arcs, is the dense one up to the
     # rounding of a sum of at most one term per arc, each below 1
     dense = np.abs(t.floats.T @ vd.values - vd.values).max()
-    assert abs(vd.residual - dense) <= len(t.graph.src) * np.finfo(float).eps
+    assert abs(vd.residual - dense) <= len(t.src) * np.finfo(float).eps
 
 
 @settings(max_examples=25, deadline=None)
@@ -431,7 +443,7 @@ def test_solve_stationary_rejects_an_unknown_solver():
 def test_solvers_that_disagree_raise(monkeypatch):
     t = to_transition(build_digraph(build_demo_log()))
     real = stationary_direct(t)
-    shift = np.zeros(t.size)
+    shift = np.zeros(len(t.nodes))
     shift[:2] = 1e-6, -1e-6
     perturbed = RankVector(real.nodes, real.values + shift, real.residual, "direct")
     monkeypatch.setattr("playrank.pipeline.stationary_direct", lambda t: perturbed)
@@ -447,7 +459,7 @@ def test_direct_solve_of_a_singular_system_raises():
 
 def test_direct_solve_with_a_negative_entry_raises(monkeypatch):
     t = to_transition(build_digraph(build_demo_log()))
-    negative = np.full(t.size, 1.0 / (t.size - 2))
+    negative = np.full(len(t.nodes), 1.0 / (len(t.nodes) - 2))
     negative[0] = -negative[0]
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: negative)
     with pytest.raises(SingularSystemError, match="invalid stationary vector"):

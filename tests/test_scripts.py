@@ -59,6 +59,18 @@ def test_exact_outputs_digests_the_float_transition_matrix():
     assert script.digest(other.text, "json")["matrix"] != hashlib.sha256(want).hexdigest()
 
 
+def test_exact_outputs_digests_the_exact_stochastic_dump_of_small_games_only():
+    script = _exact_outputs()
+    game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
+    dump = script.render_matrix(script.build_digraph(script.parse_gamelog(game.text)),
+                                "row-stochastic")
+    want = hashlib.sha256(dump.encode()).hexdigest()
+    assert script.digest(game.text, "json")["rational"] == want
+    wide = script.gen.wide_roster(1, games=1)[0]
+    assert len(wide.players) + 1 > script.RATIONAL_MAX_NODES
+    assert script.digest(wide.text, wide.fmt)["rational"] == "-"
+
+
 def test_exact_outputs_digests_each_comparison():
     script = _exact_outputs()
     lines = dict(script.comparisons(1, 3))
