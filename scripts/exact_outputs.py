@@ -16,8 +16,8 @@ inserted or one deleted (see ``PLAY_TOKENS``), and one header fault each
 0-20 in each sport.
 
 Each line names the input, then gives the SHA-256 of the digraph's arc
-``counts``, of the transition matrix's float64 ``floats`` (C-ordered bytes)
-as ``matrix``, so the chain is compared bit for bit, of the exact
+``counts``, of the float64 transition matrix ``counts / row_sums`` (C-ordered
+bytes) as ``matrix``, so the chain is compared bit for bit, of the exact
 ``render_matrix`` row-stochastic dump as ``rational`` (games of at most
 ``RATIONAL_MAX_NODES`` nodes; "-" above, as the dump grows with the square
 of the nodes), of the report in
@@ -125,7 +125,7 @@ def digest(text: str, fmt: str) -> dict[str, str]:
         out["error"] = _error(exc)
         return out
     out["counts"] = _sha(_array(analysis.digraph.counts))
-    out["matrix"] = _sha(_array(analysis.transition.floats))
+    out["matrix"] = _sha(_array(analysis.digraph.counts / analysis.digraph.row_sums[:, None]))
     if len(analysis.digraph.nodes) <= RATIONAL_MAX_NODES:
         out["rational"] = _sha(render_matrix(analysis.digraph, "row-stochastic"))
     for fmt in ("json", "table", "csv"):

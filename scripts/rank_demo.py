@@ -23,7 +23,8 @@ def main() -> None:
     play = analyses["three_on_three.play"]
     json_twin = analyses["three_on_three.json"]
     assert (play.digraph.counts == json_twin.digraph.counts).all()
-    assert play.transition.rational == json_twin.transition.rational
+    assert (render_matrix(play.digraph, "row-stochastic")
+            == render_matrix(json_twin.digraph, "row-stochastic"))
 
     print("== standings (JSON twin carries the final score) ==")
     print(render_report(json_twin.report, json_twin.teams, "table",

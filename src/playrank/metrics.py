@@ -150,6 +150,8 @@ def compare_games(reports: Mapping[str, IpmReport]) -> CrossGameTable:
     visits each report entry once, so its Python work grows with the IPMs
     given, not with players × games.
     """
+    if not isinstance(reports, Mapping):
+        raise TypeError(f"reports must map game ids to reports, not {type(reports).__name__}")
     if not reports:
         raise ValueError("compare_games needs at least one report")
     game_ids = tuple(reports)

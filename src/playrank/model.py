@@ -414,7 +414,13 @@ class Roster(Record):
 
 class GameMetadata(Record):
     date: str | None = None
-    final_score: str | None = None
+    final_score: str | None = None  # as "98-95"
+
+    def __init__(self, date: str | None = None, final_score: str | None = None):
+        for name, value in (("date", date), ("final_score", final_score)):
+            if not isinstance(value, (str, type(None))):
+                raise TypeError(f"{name} must be a str or None, not {type(value).__name__}")
+            _set(self, name, value)
 
 
 _NO_METADATA = GameMetadata()
@@ -422,10 +428,11 @@ _NO_METADATA = GameMetadata()
 
 class GameLog(Record):
     """One game.  ``events`` is an EventArrays, as the parsers and the
-    generator pass, or event objects, read into one; ``arrays`` holds it,
-    and the ``events`` property rebuilds the objects from it on each call.
-    An unknown sport is a ValueError here; not two Rosters, an object that
-    is no event type, or a role that cannot be hashed, a TypeError."""
+    generator pass, or event objects, read into one; ``arrays`` holds it, and
+    the ``events`` property rebuilds the objects from it on each call.  An
+    unknown sport is a ValueError here; not two Rosters, metadata that is no
+    GameMetadata, an object that is no event type, or an unhashable role, a
+    TypeError."""
 
     __slots__ = ("sport", "teams", "metadata", "arrays")
     _fields = ("sport", "teams", "events", "metadata")
@@ -434,6 +441,8 @@ class GameLog(Record):
         sport, teams = Sport(sport), tuple(teams)
         if len(teams) != 2 or not all(isinstance(t, Roster) for t in teams):
             raise TypeError(f"teams must be two Rosters, not {[type(t).__name__ for t in teams]}")
+        if not isinstance(metadata, GameMetadata):
+            raise TypeError(f"metadata must be a GameMetadata, not {type(metadata).__name__}")
         if not isinstance(events, EventArrays):
             events = tuple(events)
             kind = list(map(KIND_OF.get, map(type, events)))

@@ -13,21 +13,17 @@ The digraph is its arcs, held as columns: arc i runs src[i] -> dst[i] with
 multiplicity weight[i], the 2n + 1 initial arcs first and then one per event
 that adds one (``arc_columns``).  Building it costs O(n + events), not
 O(k^2) for k = n + 1 nodes.  The dense int64 arc-count matrix ``counts`` is
-built only when asked for (matrix dumps, the exact ``rational`` rows, tests).
+built only when asked for; the matrix dumps merge the arcs themselves.
 
 The digraph is its own transition matrix, T[i][j] = arcs(i->j) / outdeg(i),
-row-stochastic, with the out-degrees (``row_sums``) summed from the arcs.
-It is held exactly as Fractions on request (every row sums to exactly 1),
-and ``floats`` is its float64 projection.  The stationary vector v solves
-T^t v = v with sum(v) = 1 and is computed two independent ways: power
-iteration on T^t and a dense linear solve (LU with partial pivoting).  Each
-serves as an oracle for the other.  Power iteration steps on the arcs (one
-weighted bincount per step, O(arcs)), never on a k x k matrix; the solve
-scatters the arcs into a k x k float64 T and drops it on return, so nothing
-k x k outlives a solve.
-
-Orientation note: dumps of the column-stochastic form are the transpose of
-the internal row-stochastic matrix.
+row-stochastic, with the out-degrees (``row_sums``) summed from the arcs, so
+each entry is an exact ratio of integers (``render.render_matrix`` writes it
+as one).  The stationary vector v solves T^t v = v with sum(v) = 1 and is
+computed two independent ways: power iteration on T^t and a dense linear
+solve (LU with partial pivoting).  Each serves as an oracle for the other.
+Power iteration steps on the arcs (one weighted bincount per step,
+O(arcs)), never on a k x k matrix; the solve scatters the arcs into a k x k
+float64 T and drops it on return, so nothing k x k outlives a solve.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ class PlayDigraph(Record, by_identity=True):
     ``dst[i]`` with multiplicity ``weight[i]``; a pair may repeat.
 
     ``nodes`` fixes the index order: players, then GOAL last.  The chain's T
-    is read off it on first access: ``row_sums``, ``rational``, ``floats``.
+    is the weights over ``row_sums``, the out-degrees summed on first access.
     """
 
     nodes: tuple[NodeRef, ...]
@@ -113,19 +109,6 @@ class PlayDigraph(Record, by_identity=True):
         k, src, dst = len(self.nodes), self.src, self.dst
         p = self.weight / self.row_sums[src]
         return lambda v: np.bincount(dst, p * v[src], k)
-
-    @cached_property
-    def floats(self) -> np.ndarray:
-        return self._dense()
-
-    @cached_property
-    def rational(self) -> tuple[tuple[Fraction, ...], ...]:
-        from fractions import Fraction  # imports decimal: only the exact dumps need it
-
-        return tuple(
-            tuple(Fraction(int(c), int(s)) for c in row)
-            for row, s in zip(self.counts, self.row_sums)
-        )
 
 
 class RankVector(Record, by_identity=True):

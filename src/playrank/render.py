@@ -13,6 +13,8 @@ import io
 import json
 from json.encoder import encode_basestring_ascii as _json_str
 
+import numpy as np
+
 from .metrics import CrossGameTable, IpmReport, PlayerIpm, TeamAggregate
 from .model import GOAL
 from .ranking import PlayDigraph
@@ -81,22 +83,23 @@ def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] |
     raise ValueError(f"unknown report format {fmt!r} (use one of {REPORT_FORMATS})")
 
 
-def _node_label(node) -> str:
-    return "GOAL" if node is GOAL else str(node)
-
-
 def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
-    header = "# nodes: " + " ".join(_node_label(n) for n in graph.nodes)
-    if form == "adjacency":
-        rows = [" ".join(map(str, row)) for row in graph.counts.tolist()]
-    elif form in ("row-stochastic", "column-stochastic"):
-        rational = graph.rational
-        if form == "column-stochastic":
-            rational = tuple(zip(*rational))
-        rows = [" ".join(str(c) for c in row) for row in rational]
-    else:
+    if form not in MATRIX_FORMS:
         raise ValueError(f"unknown matrix form {form!r} (use one of {MATRIX_FORMS})")
-    return header + "\n" + "\n".join(rows) + "\n"
+    # a cell is its arcs merged, over 1 or its row's out-degree, reduced: p/q, or p if q is 1
+    k = len(graph.nodes)
+    cells, merged = np.unique(graph.src * k + graph.dst, return_inverse=True)
+    num = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(num, merged, graph.weight)  # exact in int64, as counts and row_sums are
+    src, dst = np.divmod(cells, k)
+    den = np.ones_like(num) if form == "adjacency" else graph.row_sums[src]
+    gcd = np.gcd(num, den) * np.sign(den)  # the sign on p, as Fraction puts it
+    ends = (dst, src) if form == "column-stochastic" else (src, dst)
+    rows = [["0"] * k for _ in range(k)]
+    for i, j, p, q in zip(*map(np.ndarray.tolist, (*ends, num // gcd, den // gcd))):
+        rows[i][j] = f"{p}/{q}" if q != 1 else str(p)
+    header = "# nodes: " + " ".join("GOAL" if n is GOAL else str(n) for n in graph.nodes)
+    return header + "\n" + "\n".join(map(" ".join, rows)) + "\n"
 
 
 def render_comparison(table: CrossGameTable, fmt: str = "table") -> str:

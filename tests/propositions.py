@@ -1,5 +1,8 @@
-"""Oracles for the tests: the general primitivity witness and the two
-structural IPM bounds.
+"""Oracles for the tests: T as exact Fractions, the general primitivity
+witness and the two structural IPM bounds.
+
+``exact_rows`` is T row by row as Fractions, the arc counts over the
+out-degrees; the exact matrix dumps are checked against it.
 
 ``primitivity_witness`` certifies primitivity through any hub and returns
 the smallest all-positive power of T; the production ``check_primitive``
@@ -17,12 +20,19 @@ Two bounds follow from the per-game player average of exactly 50 that
   25 n / (n - 2) of each other.
 """
 
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from playrank.metrics import IpmReport
 from playrank.ranking import CorruptedGraphError, PlayDigraph
+
+
+def exact_rows(g: PlayDigraph) -> tuple[tuple[Fraction, ...], ...]:
+    """T as exact Fractions, row by row: ``counts`` over ``row_sums``."""
+    return tuple(tuple(Fraction(c, s) for c in row)
+                 for row, s in zip(g.counts.tolist(), g.row_sums.tolist()))
 
 
 def primitivity_witness(t: PlayDigraph) -> int:

@@ -25,11 +25,11 @@ from playrank.model import GameLog, Roster, RosterPlayer, Score, Sport, validate
 from playrank.pipeline import build_digraph
 from playrank.playscript import parse_playscript
 from playrank.ranking import stationary_direct, stationary_power, to_transition
-from playrank.render import render_report
+from playrank.render import render_matrix, render_report
 from playrank.synth import generate_random_game
 
 from golden import DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_IPM_TABLE
-from propositions import check_proposition_bounds, primitivity_witness
+from propositions import check_proposition_bounds, exact_rows, primitivity_witness
 
 SWEEP_GAMES_PER_SPORT = 1000
 SWEEP_SUBSETS_PER_GAME = 10
@@ -112,8 +112,11 @@ def test_criterion_1_golden_adjacency(demo_text):
 
 def test_criterion_2_golden_transition(demo_text):
     t = to_transition(build_digraph(parse_playscript(demo_text)))
-    column_stochastic = [list(row) for row in zip(*t.rational)]
-    ok = column_stochastic == DEMO_COLUMN_STOCHASTIC  # exact rationals
+    column_stochastic = [list(row) for row in zip(*exact_rows(t))]
+    dump = render_matrix(t, "column-stochastic").splitlines()[1:]
+    ok = (column_stochastic == DEMO_COLUMN_STOCHASTIC  # exact rationals
+          and [line.split() for line in dump]
+          == [list(map(str, row)) for row in DEMO_COLUMN_STOCHASTIC])  # the dump, cell by cell
     _report(2, "golden transition matrix (column-stochastic, exact)", ok)
     assert ok
 
@@ -215,8 +218,7 @@ def test_criterion_7_cross_format_equivalence(demo_text, demo_json_path):
     g_play = build_digraph(from_play)
     g_json = build_digraph(from_json)
     adjacency_equal = g_play.counts.tolist() == g_json.counts.tolist()
-    rationals_equal = (to_transition(g_play).rational
-                       == to_transition(g_json).rational)
+    rationals_equal = exact_rows(g_play) == exact_rows(g_json)
 
     ipm_play = {p.player: p.ipm for p in compute_ipm(
         stationary_power(to_transition(g_play)), from_play.teams).players}

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 
 from playrank import cli
 from playrank.cli import main
-from playrank.gamelog_json import SchemaError
-from playrank.model import MAX_PLAYERS
+from playrank.gamelog_json import SchemaError, render_gamelog
+from playrank.model import MAX_PLAYERS, Sport
 from playrank.pipeline import parse_game_text
 from playrank.playscript import PlayscriptError
 from playrank.ranking import SingularSystemError
 from playrank.render import COMPARISON_FORMATS, REPORT_FORMATS
+from playrank.synth import generate_random_game
 
 from golden import DEMO_ADJACENCY
 
@@ -218,6 +219,22 @@ def test_matrix_row_stochastic_goal_row(capsys, demo_playscript_path):
     assert code == 0
     assert out.splitlines()[-1].split() == [
         "4/13", "1/13", "1/13", "2/13", "1/13", "3/13", "1/13"]
+
+
+@pytest.mark.parametrize("form", ["row-stochastic", "column-stochastic"])
+def test_matrix_stochastic_dump_at_the_player_cap_is_quick(tmp_path, form):
+    # the game of `synth --sport basketball --players 2000 --events 10000 --seed 1`
+    log = generate_random_game(Sport.BASKETBALL, MAX_PLAYERS, 10_000, seed=1)
+    path = tmp_path / "cap.json"
+    path.write_text(render_gamelog(log), encoding="utf-8")
+    out = tmp_path / "dump.txt"
+    start = time.perf_counter()
+    code = main(["matrix", str(path), "--form", form, "-o", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    with out.open(encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == MAX_PLAYERS + 2  # the header, then one line per node
+    assert elapsed < 2.0  # 0.2-0.3 s on a 2-vCPU VM; building k^2 Fractions took 5.7 s or more
 
 
 def test_validate_ok(capsys, demo_json_path):

@@ -323,6 +323,13 @@ def test_compare_requires_a_report():
         compare_games({})
 
 
+def test_compare_requires_a_mapping():
+    report = _report_for(build_demo_log())
+    for reports in ([report], [("g", report)], "g", []):
+        with pytest.raises(TypeError, match="reports must map game ids to reports"):
+            compare_games(reports)
+
+
 def _reference_compare(reports):
     """The O(P^2 G) scan compare_games replaced: one pass over a report's
     players per (player, game) cell, first occurrence wins."""

@@ -300,6 +300,21 @@ def test_gamelog_refuses_teams_other_than_two_rosters(teams):
         GameLog(Sport.BASKETBALL, teams, ())
 
 
+@pytest.mark.parametrize("metadata", ["3-1", None, {"final_score": "3-1"}],
+                         ids=["a-score-string", "a-none", "a-dict"])
+def test_gamelog_refuses_metadata_other_than_game_metadata(metadata):
+    with pytest.raises(TypeError, match="metadata must be a GameMetadata"):
+        GameLog(Sport.BASKETBALL, _rosters(), (Pass("H1", "H2"),), metadata)
+
+
+@pytest.mark.parametrize("fields", [{"final_score": 3}, {"date": 20240501},
+                                    {"final_score": b"3-1"}, {"date": ["2024-05-01"]}],
+                         ids=["int-score", "int-date", "bytes-score", "list-date"])
+def test_game_metadata_holds_strings_or_none(fields):
+    with pytest.raises(TypeError, match=f"{next(iter(fields))} must be a str or None"):
+        GameMetadata(**fields)
+
+
 def test_rosters_stay_columns(monkeypatch, demo_playscript_path, demo_json_path):
     def no_objects(self, *args, **kwargs):
         raise AssertionError("built a RosterPlayer")

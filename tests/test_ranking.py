@@ -20,13 +20,14 @@ from playrank.ranking import (
     SingularSystemError, apply_events, arc_columns, check_primitive,
     init_digraph, stationary_direct, stationary_power, to_transition,
 )
+from playrank.render import MATRIX_FORMS, render_matrix
 from playrank.synth import generate_random_game
 
 from golden import (
     DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_IPM_EXACT, DEMO_STATIONARY,
     build_demo_log,
 )
-from propositions import primitivity_witness
+from propositions import exact_rows, primitivity_witness
 
 
 def _rosters(n1, n2, prefix=("H", "A")):
@@ -72,8 +73,8 @@ def test_init_two_player_matrix():
 
 def test_initial_goal_row_is_uniform():
     t = to_transition(init_digraph(_rosters(3, 3)))
-    assert t.rational[6] == tuple([Fraction(1, 7)] * 7)
-    for row in t.rational[:6]:  # players start with a single out-arc to goal
+    assert exact_rows(t)[6] == tuple([Fraction(1, 7)] * 7)
+    for row in exact_rows(t)[:6]:  # players start with a single out-arc to goal
         assert row == (0, 0, 0, 0, 0, 0, 1)
 
 
@@ -147,7 +148,9 @@ def test_counts_are_built_on_first_access_only():
     g = build_digraph(build_demo_log())
     t = to_transition(g)
     stationary_power(t), stationary_direct(t), check_primitive(t)
-    assert not {"floats", "rational"} & vars(t).keys() and "counts" not in vars(g)
+    for form in MATRIX_FORMS:  # the dumps merge the arcs themselves
+        render_matrix(g, form)
+    assert "counts" not in vars(g)
     assert g.counts is g.counts and g.counts.dtype == np.int64
 
 
@@ -157,8 +160,9 @@ def test_floats_are_the_counts_over_the_row_sums_exactly(log):
     t = to_transition(build_digraph(log))
     counts = t.counts
     assert np.array_equal(t.row_sums, counts.sum(axis=1))
-    assert np.array_equal(t.floats, counts / t.row_sums[:, None])
-    assert t.floats.flags.c_contiguous
+    dense = t._dense()  # the direct solve's T
+    assert np.array_equal(dense, counts / t.row_sums[:, None])
+    assert dense.flags.c_contiguous
 
 
 def test_apply_events_rejects_what_validation_rejects():
@@ -171,7 +175,7 @@ def test_apply_events_rejects_what_validation_rejects():
 
 def test_demo_transition_matches_column_stochastic_reference():
     t = to_transition(build_digraph(build_demo_log()))
-    transposed = tuple(zip(*t.rational))
+    transposed = tuple(zip(*exact_rows(t)))
     assert [list(r) for r in transposed] == DEMO_COLUMN_STOCHASTIC
 
 
@@ -203,7 +207,7 @@ def test_row_sums_exactly_one_and_monotone(log):
     g = apply_events(g0, log)
     assert (g.counts >= g0.counts).all()  # events only add arcs
     t = to_transition(g)
-    assert all(sum(row) == 1 for row in t.rational)
+    assert all(sum(row) == 1 for row in exact_rows(t))
 
 
 # --- primitivity -----------------------------------------------------------
@@ -406,7 +410,7 @@ def test_power_and_direct_agree(log):
     assert abs(vp.values.sum() - 1.0) <= 1e-12
     # the direct residual, summed over the arcs, is the dense one up to the
     # rounding of a sum of at most one term per arc, each below 1
-    dense = np.abs(t.floats.T @ vd.values - vd.values).max()
+    dense = np.abs((t.counts / t.row_sums[:, None]).T @ vd.values - vd.values).max()
     assert abs(vd.residual - dense) <= len(t.src) * np.finfo(float).eps
 
 

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -11,14 +12,17 @@ from playrank.metrics import (
     IpmReport, PlayerIpm, TeamAggregate, aggregates,
     compare_games, compute_ipm,
 )
-from playrank.model import GameLog, GameMetadata, Roster, RosterPlayer, Sport
+from playrank.model import GOAL, GameLog, GameMetadata, Roster, RosterPlayer, Sport
 from playrank.pipeline import analyze_game, build_digraph
-from playrank.ranking import init_digraph, stationary_direct, to_transition
+from playrank.ranking import (
+    CorruptedGraphError, PlayDigraph, init_digraph, stationary_direct, to_transition,
+)
 from playrank.render import (
     COMPARISON_FORMATS, render_comparison, render_matrix, render_report,
 )
 
 from golden import DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, build_demo_log
+from propositions import exact_rows
 
 
 def _report(log, metadata=None):
@@ -181,6 +185,35 @@ def test_column_stochastic_dump_is_exact():
             for line in out.splitlines()[1:]]
     assert rows == [list(r) for r in DEMO_COLUMN_STOCHASTIC]
     assert out.splitlines()[1].split()[1] == "2/7"
+
+
+arc_lists = st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(-3, 5)), max_size=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arcs=arc_lists)
+def test_matrix_dumps_are_the_counts_and_the_exact_rows(arcs):
+    # any arcs: repeated, out of order, zero or negative weights (a digraph
+    # built by hand); each cell as str writes its int or its Fraction
+    k, arcs = arcs
+    src, dst, weight = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
+    g = PlayDigraph((*(f"n{i}" for i in range(k - 1)), GOAL), src, dst, weight)
+
+    def dump(form):
+        lines = render_matrix(g, form).splitlines()
+        assert lines[0] == "# nodes: " + " ".join(g.nodes[:-1] + ("GOAL",))
+        return lines[1:]
+
+    assert dump("adjacency") == [" ".join(map(str, row)) for row in g.counts.tolist()]
+    if not np.bincount(src, weight, k).all():
+        for form in ("row-stochastic", "column-stochastic"):
+            with pytest.raises(CorruptedGraphError):
+                dump(form)
+        return
+    rows = exact_rows(g)
+    assert dump("row-stochastic") == [" ".join(map(str, row)) for row in rows]
+    assert dump("column-stochastic") == [" ".join(map(str, row)) for row in zip(*rows)]
 
 
 def test_row_stochastic_goal_row_uniform():

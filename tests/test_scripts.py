@@ -52,7 +52,8 @@ def test_exact_outputs_digests_a_small_game_and_its_mutants():
 def test_exact_outputs_digests_the_float_transition_matrix():
     script = _exact_outputs()
     game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
-    floats = script.analyze_game(script.parse_gamelog(game.text)).transition.floats
+    g = script.analyze_game(script.parse_gamelog(game.text)).digraph
+    floats = g.counts / g.row_sums[:, None]
     want = f"{floats.shape}float64".encode() + floats.tobytes(order="C")
     assert script.digest(game.text, "json")["matrix"] == hashlib.sha256(want).hexdigest()
     other = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[1]
