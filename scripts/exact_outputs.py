@@ -17,10 +17,11 @@ inserted or one deleted (see ``PLAY_TOKENS``), and one header fault each
 
 Each line names the input, then gives the SHA-256 of the digraph's arc
 ``counts``, of the float64 transition matrix ``counts / row_sums`` (C-ordered
-bytes) as ``matrix``, so the chain is compared bit for bit, of the exact
-``render_matrix`` row-stochastic dump as ``rational`` (games of at most
-``RATIONAL_MAX_NODES`` nodes; "-" above, as the dump grows with the square
-of the nodes), of the report in
+bytes) as ``matrix``, so the chain is compared bit for bit, of each
+``render_matrix`` dump (``MATRIX_DUMPS``: ``adjacency``, the exact
+row-stochastic one as ``rational`` and the column-stochastic one as
+``column``; games of at most ``RATIONAL_MAX_NODES`` nodes, "-" above, as a
+dump grows with the square of the nodes), of the report in
 ``json``, ``table`` and ``csv``, of the JSON report with ``--solver
 direct`` and with ``--solver both`` (which adds the power/direct gap), of
 the ``validate_game`` list and of the ``error`` (class, ``kind`` where the
@@ -56,8 +57,10 @@ from playrank import (  # noqa: E402
     render_report, validate_game,
 )
 
-FIELDS = ("counts", "matrix", "rational", "json", "table", "csv", "direct", "both",
-          "violations", "error", "api")
+FIELDS = ("counts", "matrix", "adjacency", "rational", "column", "json", "table", "csv",
+          "direct", "both", "violations", "error", "api")
+MATRIX_DUMPS = {"adjacency": "adjacency", "rational": "row-stochastic",
+                "column": "column-stochastic"}
 RATIONAL_MAX_NODES = 64
 ROUND = 24  # season games per comparison, as the benchmark's rounds
 SYNTH_SEEDS = range(21)
@@ -127,7 +130,8 @@ def digest(text: str, fmt: str) -> dict[str, str]:
     out["counts"] = _sha(_array(analysis.digraph.counts))
     out["matrix"] = _sha(_array(analysis.digraph.counts / analysis.digraph.row_sums[:, None]))
     if len(analysis.digraph.nodes) <= RATIONAL_MAX_NODES:
-        out["rational"] = _sha(render_matrix(analysis.digraph, "row-stochastic"))
+        for field, form in MATRIX_DUMPS.items():
+            out[field] = _sha(render_matrix(analysis.digraph, form))
     for fmt in ("json", "table", "csv"):
         out[fmt] = _sha(render_report(analysis.report, analysis.teams, fmt))
     for solver in ("direct", "both"):

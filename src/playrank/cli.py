@@ -8,7 +8,6 @@ stdout (or --output), diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -23,8 +22,8 @@ from .pipeline import (
 )
 from .playscript import PlayscriptError, parse_playscript
 from .ranking import POWER_MAX_ITERS, POWER_TOL, RankingError
-from .render import (COMPARISON_FORMATS, MATRIX_FORMS, REPORT_FORMATS, render_comparison,
-                     render_matrix, render_report)
+from .render import (COMPARISON_FORMATS, MATRIX_FORMS, REPORT_FORMATS, csv_text,
+                     render_comparison, render_matrix, render_report)
 from .synth import generate_random_game
 
 EXIT_OK = 0
@@ -149,14 +148,9 @@ def _stems(names: list[str]) -> list[str]:
 
 
 def _cmd_batch(args) -> int:
-    import csv  # only batch writes CSV here; render imports it for reports
-
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = io.StringIO()
-    writer = csv.writer(summary, lineterminator="\n")
-    writer.writerow(["game", "wt_aipm", "lt_aipm",
-                     "wt_starter_aipm", "lt_starter_aipm"])
+    summary = [["game", "wt_aipm", "lt_aipm", "wt_starter_aipm", "lt_starter_aipm"]]
     worst = EXIT_OK
     for name, stem in zip(args.games, _stems(args.games)):
         path = Path(name)
@@ -172,10 +166,10 @@ def _cmd_batch(args) -> int:
 
         winner = next((t for t in analysis.teams if t.label == "winner"), None)
         loser = next((t for t in analysis.teams if t.label == "loser"), None)
-        writer.writerow([stem] + [
+        summary.append([stem] + [
             "" if t is None or getattr(t, f) is None else f"{getattr(t, f):.2f}"
             for f in ("aipm", "starter_aipm") for t in (winner, loser)])
-    _atomic_write(out_dir / "summary.csv", summary.getvalue())
+    _atomic_write(out_dir / "summary.csv", csv_text(summary))
     return worst
 
 

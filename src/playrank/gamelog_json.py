@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .model import (
-    EVENT_SPECS, KIND_OF, Event, EventArrays, GameLog, GameMetadata, Roster, Sport,
+    EVENT_SPECS, EventArrays, GameLog, GameMetadata, Roster, Sport,
 )
 
 SCHEMA_VERSION = "1"
@@ -133,10 +133,8 @@ def _parse_team(obj: Any, path: str) -> Roster:
         ids = list(map(itemgetter("id"), players))
         names = list(map(dict.get, players, repeat("name"), ids))
         starters = list(map(dict.get, players, repeat("starter"), repeat(False)))
-        if (all(map(_PLAYER_KEYS.issuperset, players)) and set(map(type, ids)) <= {str}
-                and all(ids) and set(map(type, names)) <= {str}
-                and set(map(type, starters)) <= {bool}):
-            return Roster.from_columns(name, ids, names, starters)
+        if all(map(_PLAYER_KEYS.issuperset, players)) and all(ids):
+            return Roster.from_columns(name, ids, names, starters)  # TypeError on a wrong type
     except (LookupError, TypeError):
         pass
     for i, p in enumerate(players):
@@ -183,26 +181,39 @@ def parse_gamelog(text: str) -> GameLog:
     return GameLog(sport, rosters, _parse_events(events, sport, rosters), metadata)
 
 
-def _event_to_obj(ev: Event, sport: Sport) -> dict:
-    spec = EVENT_SPECS[KIND_OF[type(ev)]]
-    carried = spec.wire_ints(sport)
-    for f in spec.ints:
-        if f not in carried and getattr(ev, f) != 1:
-            raise ValueError(f"cannot encode a {sport.value} {spec.name} worth "
-                             f"{getattr(ev, f)}; validate the log first")
-    return {"type": spec.name, **{f: getattr(ev, f) for f in spec.roles + carried}}
+def fill_array(text: str, key: str, layouts: list, which, *columns) -> str:
+    """``text``, a json.dumps(indent=2) document, with one object per row of
+    ``columns`` in its first ``"key": []``, laid out as json.dumps would: row i
+    has the (key, value template) pairs of ``layouts[which[i]]``, filled by str.format."""
+    templates = ["    {{\n" + ",\n".join(f'      "{k}": {v}' for k, v in layout) + "\n    }}"
+                 for layout in layouts]
+    body = ",\n".join(map(str.format, map(templates.__getitem__, which), *columns))
+    return text.replace(f'"{key}": []', f'"{key}": [\n{body}\n  ]', 1) if body else text
 
 
 def render_gamelog(log: GameLog) -> str:
     """Serialize a GameLog back to document text (stable field order)."""
+    sport, arr, odd = log.sport, log.arrays, log.arrays.odd
+    fixed = [len(s.wire_ints(sport)) < len(s.ints) for s in EVENT_SPECS]  # always worth 1
+    for i in np.flatnonzero(np.take(fixed, arr.kind) & (arr.weight != 1)).tolist():
+        if (value := odd.get(i, arr.weight[i])) != 1:  # True and 1.0 are 1
+            raise ValueError(f"cannot encode a {sport.value} {EVENT_SPECS[arr.kind[i]].name} "
+                             f"worth {value}; validate the log first")
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "sport": log.sport.value,
+        "sport": sport.value,
         "teams": [{"name": t.name, "players": [p._asdict() for p in t.players]}
                   for t in log.teams],
     }
     meta = {k: v for k, v in log.metadata._asdict().items() if v is not None}
     if meta:
         doc["metadata"] = meta
-    doc["events"] = [_event_to_obj(e, log.sport) for e in log.events]
-    return json.dumps(doc, indent=2) + "\n"
+    doc["events"] = []
+    # each kind's type, then its roles from a and b ({0}, {1}) and its integer field ({2})
+    layouts = [(("type", f'"{s.name}"'), *zip(s.roles, ("{0}", "{1}")),
+                *((f, "{2}") for f in s.wire_ints(sport))) for s in EVENT_SPECS]
+    ids = list(map(json.dumps, arr.ids + (None,)))  # a and b are -1 for no role
+    ints = [json.dumps(odd[i]) if i in odd else w for i, w in enumerate(arr.weight.tolist())]
+    return fill_array(json.dumps(doc, indent=2), "events", layouts, arr.kind.tolist(),
+                      map(ids.__getitem__, arr.a.tolist()),
+                      map(ids.__getitem__, arr.b.tolist()), ints) + "\n"

@@ -22,6 +22,7 @@ id on neither roster is appended from n up, for validation to report.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple, Sequence, Union
 
@@ -379,27 +380,39 @@ class Roster(Record):
     """One team.  Player order is significant: it fixes matrix row/column
     order for the whole pipeline and must survive serialization.  Players
     are held as the columns ``ids``, ``names`` and ``starters``; ``players``
-    rebuilds their objects on each call, and ==, hash and pickle read columns."""
+    rebuilds their objects on each call, and ==, hash and pickle read columns.
+    A player that is no RosterPlayer, a team name, id or player name that is
+    no str, or a starter that is no bool is a TypeError."""
 
     __slots__ = ("name", "ids", "names", "starters")
     _fields = ("name", "players")
 
     def __init__(self, name: str, players):
         players = tuple(players)
-        for slot, value in zip(self.__slots__, (name, *(
-                tuple(map(attrgetter(f), players)) for f in RosterPlayer._fields))):
-            _set(self, slot, value)
+        for p in players:
+            if not isinstance(p, RosterPlayer):
+                raise TypeError(f"players must be RosterPlayers, not {type(p).__name__}")
+        self._set_columns(name, *(tuple(map(attrgetter(f), players))
+                                  for f in RosterPlayer._fields))
 
     @classmethod
     def from_columns(cls, name: str, ids, names=None, starters=None) -> Roster:
         """The roster of players ``ids`` named ``names`` (default the ids; an
         empty name is the id, as in RosterPlayer), ``starters`` (default none)."""
         roster, ids = cls.__new__(cls), tuple(ids)
-        for slot, value in zip(cls.__slots__, (
-                name, ids, ids if names is None else tuple(n or i for n, i in zip(names, ids)),
-                (False,) * len(ids) if starters is None else tuple(starters))):
-            _set(roster, slot, value)
+        roster._set_columns(name, ids, ids if names is None else tuple(names),
+                            (False,) * len(ids) if starters is None else tuple(starters))
         return roster
+
+    def _set_columns(self, name, ids: tuple, names: tuple, starters: tuple) -> None:
+        for what, values, kind in (("team name", (name,), str), ("player id", ids, str),
+                                   ("player name", names, str), ("starter", starters, bool)):
+            if not all(map(isinstance, values, repeat(kind))):
+                bad = next(v for v in values if not isinstance(v, kind))
+                raise TypeError(f"a {what} must be a {kind.__name__}, not {type(bad).__name__}")
+        names = tuple(n or i for n, i in zip(names, ids))
+        for slot, value in zip(self.__slots__, (name, ids, names, starters)):
+            _set(self, slot, value)
 
     @property
     def players(self) -> tuple[RosterPlayer, ...]:

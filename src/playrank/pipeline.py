@@ -90,9 +90,12 @@ def analyze_game(
 ) -> GameAnalysis:
     """Validate and rank one game.
 
-    Raises ValidationFailed when the log is broken and RankingError family
-    exceptions on numerical trouble (never returns a best-effort result).
+    Raises TypeError unless ``log`` is a GameLog, ValidationFailed when the
+    log is broken and RankingError family exceptions on numerical trouble
+    (never returns a best-effort result).
     """
+    if not isinstance(log, GameLog):
+        raise TypeError(f"analyze_game needs a GameLog, not {type(log).__name__}")
     violations = validate_game(log)
     if violations:
         raise ValidationFailed(violations)

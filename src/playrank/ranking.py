@@ -45,7 +45,8 @@ class RankingError(Exception):
 
 
 class CorruptedGraphError(RankingError):
-    """The graph lacks what init_digraph guarantees (out-arcs, the goal hub)."""
+    """The graph lacks what init_digraph guarantees (non-negative arc weights,
+    out-arcs, the goal hub)."""
 
 
 class NonConvergenceError(RankingError):
@@ -86,7 +87,14 @@ class PlayDigraph(Record, by_identity=True):
 
     @cached_property
     def row_sums(self) -> np.ndarray:
-        """Out-degrees, the weights summed by ``src``: T's row divisors."""
+        """Out-degrees, the weights summed by ``src``: T's row divisors.  A
+        negative weight or a node without out-arcs is a CorruptedGraphError."""
+        negative = np.flatnonzero(self.weight < 0)
+        if negative.size:
+            i = negative[0]
+            raise CorruptedGraphError(
+                f"arc {self.nodes[self.src[i]]!r} -> {self.nodes[self.dst[i]]!r} has weight "
+                f"{self.weight[i]}; arc weights count events")
         row_sums = np.zeros(len(self.nodes), dtype=np.int64)
         np.add.at(row_sums, self.src, self.weight)
         if (row_sums == 0).any():
@@ -181,7 +189,7 @@ def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
 
 def to_transition(g: PlayDigraph) -> PlayDigraph:
     """``g``, its out-degrees summed: the digraph is its own transition matrix."""
-    g.row_sums  # raises CorruptedGraphError for a node without out-arcs
+    g.row_sums  # raises CorruptedGraphError for a negative weight or a node without out-arcs
     return g
 
 

@@ -15,6 +15,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
+from .gamelog_json import fill_array
 from .metrics import CrossGameTable, IpmReport, PlayerIpm, TeamAggregate
 from .model import GOAL
 from .ranking import PlayDigraph
@@ -23,15 +24,21 @@ REPORT_FORMATS = ("table", "csv", "json")
 COMPARISON_FORMATS = ("table", "csv")
 MATRIX_FORMS = ("adjacency", "row-stochastic", "column-stochastic")
 
-# A player object of a JSON report as json.dumps(indent=2) lays it out, and
-# json's spelling of the non-finite floats.
-_JSON_PLAYER = "    {\n" + ",\n".join(f'      "{f}": %s' for f in PlayerIpm._fields) + "\n    }"
+# json's spelling of the non-finite floats
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_floats(values) -> list | map:
     reprs = list(map(float.__repr__, values))
     return reprs if _NONFINITE.keys().isdisjoint(reprs) else map(_NONFINITE.get, reprs, reprs)
+
+
+def csv_text(rows) -> str:
+    """``rows`` as CSV text, one line each."""
+    import csv  # imported on first use, to keep start-up short
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _team_lines(aggs: tuple[TeamAggregate, TeamAggregate]) -> list[str]:
@@ -53,14 +60,9 @@ def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] |
         return "\n".join(lines) + "\n"
 
     if fmt == "csv":
-        import csv  # imported on first use, to keep start-up short
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["player", "team", "ipm", "ipm_full", "rank"])
-        for p in report.standings:
-            w.writerow([p.player, p.team, f"{p.ipm:.2f}", repr(p.ipm), repr(p.rank)])
-        return buf.getvalue()
+        return csv_text([["player", "team", "ipm", "ipm_full", "rank"], *(
+            [p.player, p.team, f"{p.ipm:.2f}", repr(p.ipm), repr(p.rank)]
+            for p in report.standings)])
 
     if fmt == "json":
         # the report's fields, with its players in standings order laid out by column
@@ -73,11 +75,10 @@ def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] |
         text = json.dumps(doc, indent=2)
         if report.standings:
             player, name, team, starter, rank, ipm = zip(*report.standings)
-            objs = map(_JSON_PLAYER.__mod__, zip(
-                map(_json_str, player), map(_json_str, name), map(_json_str, team),
-                map(("false", "true").__getitem__, starter), _json_floats(rank),
-                _json_floats(ipm)))
-            text = text.replace('"players": []', '"players": [\n' + ",\n".join(objs) + "\n  ]", 1)
+            text = fill_array(text, "players", [[(f, "{}") for f in PlayerIpm._fields]],
+                              [0] * len(player), map(_json_str, player), map(_json_str, name),
+                              map(_json_str, team), map(("false", "true").__getitem__, starter),
+                              _json_floats(rank), _json_floats(ipm))
         return text + "\n"
 
     raise ValueError(f"unknown report format {fmt!r} (use one of {REPORT_FORMATS})")
@@ -93,7 +94,7 @@ def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
     np.add.at(num, merged, graph.weight)  # exact in int64, as counts and row_sums are
     src, dst = np.divmod(cells, k)
     den = np.ones_like(num) if form == "adjacency" else graph.row_sums[src]
-    gcd = np.gcd(num, den) * np.sign(den)  # the sign on p, as Fraction puts it
+    gcd = np.gcd(num, den)
     ends = (dst, src) if form == "column-stochastic" else (src, dst)
     rows = [["0"] * k for _ in range(k)]
     for i, j, p, q in zip(*map(np.ndarray.tolist, (*ends, num // gcd, den // gcd))):
@@ -110,11 +111,5 @@ def render_comparison(table: CrossGameTable, fmt: str = "table") -> str:
     if fmt == "table":
         return "\n".join(map(" | ".join, [header, *rows])) + "\n"
     if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([h.lower() for h in header])
-        w.writerows(rows)
-        return buf.getvalue()
+        return csv_text([[h.lower() for h in header], *rows])
     raise ValueError(f"unknown comparison format {fmt!r} (use one of {COMPARISON_FORMATS})")

@@ -1,5 +1,6 @@
 """Oracles for the tests: T as exact Fractions, the general primitivity
-witness and the two structural IPM bounds.
+witness, the two structural IPM bounds and the game log as the stdlib JSON
+encoder writes it.
 
 ``exact_rows`` is T row by row as Fractions, the arc counts over the
 out-degrees; the exact matrix dumps are checked against it.
@@ -18,14 +19,21 @@ Two bounds follow from the per-game player average of exactly 50 that
   underperform, R < 50 k), and it holds for any designated subset.
 * pairwise gap: with n >= 3 players, some pair of players sits within
   25 n / (n - 2) of each other.
+
+``render_gamelog_reference`` builds a dict per event object and runs
+``json.dumps(indent=2)`` over the document; the production
+``render_gamelog`` writes the events from their columns.
 """
 
+import json
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
+from playrank.gamelog_json import SCHEMA_VERSION
 from playrank.metrics import IpmReport
+from playrank.model import EVENT_SPECS, KIND_OF, Event, GameLog, Sport
 from playrank.ranking import CorruptedGraphError, PlayDigraph
 
 
@@ -113,3 +121,29 @@ def check_proposition_bounds(
         pairwise_gap = PropositionCheck(False)
 
     return BoundsCheck(starter_gap=starter_gap, pairwise_gap=pairwise_gap)
+
+
+def _event_to_obj(ev: Event, sport: Sport) -> dict:
+    spec = EVENT_SPECS[KIND_OF[type(ev)]]
+    carried = spec.wire_ints(sport)
+    for f in spec.ints:
+        if f not in carried and getattr(ev, f) != 1:
+            raise ValueError(f"cannot encode a {sport.value} {spec.name} worth "
+                             f"{getattr(ev, f)}; validate the log first")
+    return {"type": spec.name, **{f: getattr(ev, f) for f in spec.roles + carried}}
+
+
+def render_gamelog_reference(log: GameLog) -> str:
+    """The game log document as ``json.dumps(indent=2)`` writes it from one
+    dict per event object."""
+    doc: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "sport": log.sport.value,
+        "teams": [{"name": t.name, "players": [p._asdict() for p in t.players]}
+                  for t in log.teams],
+    }
+    meta = {k: v for k, v in log.metadata._asdict().items() if v is not None}
+    if meta:
+        doc["metadata"] = meta
+    doc["events"] = [_event_to_obj(e, log.sport) for e in log.events]
+    return json.dumps(doc, indent=2) + "\n"

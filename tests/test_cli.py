@@ -237,6 +237,18 @@ def test_matrix_stochastic_dump_at_the_player_cap_is_quick(tmp_path, form):
     assert elapsed < 2.0  # 0.2-0.3 s on a 2-vCPU VM; building k^2 Fractions took 5.7 s or more
 
 
+def test_synth_at_the_event_cap_is_quick(tmp_path):
+    out = tmp_path / "cap.json"
+    start = time.perf_counter()
+    code = main(["synth", "--sport", "basketball", "--players", "24", "--events", "1000000",
+                 "--seed", "1", "-o", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.read_text(encoding="utf-8").count('"type":') == 1_000_000
+    # 2-3 s on a 2-vCPU VM; a dict per event through json.dumps(indent=2) took 9.6 s or more
+    assert elapsed < 5.0
+
+
 def test_validate_ok(capsys, demo_json_path):
     code, out, _ = run(capsys, "validate", str(demo_json_path))
     assert code == 0

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import SchemaError, _check_player, parse_gamelog, render_gamelog
 from playrank.model import (
-    GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport,
-    validate_game,
+    FoulWithFreeThrows, GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport,
+    Stoppage, Touch, validate_game,
 )
 from playrank.synth import generate_random_game
+
+from propositions import render_gamelog_reference
 
 MINIMAL = {
     "schema_version": "1",
@@ -191,6 +193,59 @@ def test_roster_order_survives_round_trip():
 def test_random_games_round_trip(sport, n, m, seed):
     log = generate_random_game(sport, n, m, seed)
     assert parse_gamelog(render_gamelog(log)) == log
+
+
+# What only the Python API can put in a log: integer fields that are no
+# int64 int or are worth other than 1 where the sport fixes them at 1, and
+# roles that name no roster player, are no str or hold a quote.  (A list or
+# tuple value is left out: render_gamelog writes it on one line, where
+# json.dumps(indent=2) spreads it over several; the JSON value is the same.)
+EDGE_WORTH = (True, 1.0, "2", 2.5, 2**70, 1, 2, 3)
+EDGE_ROLES = ("H1", "A1", "ghost", 'say "hi"', 3)
+EDGE_EVENTS = [*(Score("H1", w) for w in EDGE_WORTH), FoulWithFreeThrows("A1", "H1", 2**70),
+               Pass("H1", "ghost"), Pass(3, "H1"), Touch('say "hi"')]
+
+
+def _rendered(render, log):
+    """The text ``render`` writes for ``log``, or the ValueError it raises."""
+    try:
+        return render(log)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sport=st.sampled_from(list(Sport)),
+    n=st.integers(min_value=2, max_value=31),
+    m=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    metadata=st.sampled_from([GameMetadata(), GameMetadata("2024-05-01", '3-"1"')]),
+    extra=st.lists(st.tuples(st.integers(min_value=0), st.one_of(
+        st.sampled_from(EDGE_EVENTS),
+        st.builds(Score, st.sampled_from(EDGE_ROLES), st.sampled_from(EDGE_WORTH)),
+        st.builds(FoulWithFreeThrows, st.sampled_from(EDGE_ROLES),
+                  st.sampled_from(EDGE_ROLES), st.sampled_from(EDGE_WORTH)),
+        st.builds(Pass, st.sampled_from(EDGE_ROLES), st.sampled_from(EDGE_ROLES)),
+        st.builds(Stoppage))), max_size=4),
+)
+def test_render_gamelog_writes_what_the_stdlib_encoder_writes(sport, n, m, seed, metadata,
+                                                              extra):
+    # a random game, with API-built events put in among its own
+    log = generate_random_game(sport, n, m, seed)
+    events = list(log.events)
+    for at, event in extra:
+        events.insert(at % (len(events) + 1), event)
+    log = GameLog(sport, log.teams, events, metadata)
+    assert _rendered(render_gamelog, log) == _rendered(render_gamelog_reference, log)
+
+
+@pytest.mark.parametrize("sport", list(Sport))
+@pytest.mark.parametrize("event", EDGE_EVENTS, ids=repr)
+def test_render_gamelog_writes_an_api_built_event_as_the_stdlib_encoder_does(sport, event):
+    rosters = (Roster.from_columns("Home", ["H1", 'H"2']), Roster.from_columns("Away", ["A1"]))
+    log = GameLog(sport, rosters, (Pass("H1", 'H"2'), event, Score("A1", 2)))
+    assert _rendered(render_gamelog, log) == _rendered(render_gamelog_reference, log)
 
 
 def test_render_includes_metadata_only_when_present():

@@ -315,6 +315,39 @@ def test_game_metadata_holds_strings_or_none(fields):
         GameMetadata(**fields)
 
 
+@pytest.mark.parametrize("players, message", [
+    (["H1", "H2"], "players must be RosterPlayers, not str"),
+    ([RosterPlayer("H1"), None], "players must be RosterPlayers, not NoneType"),
+    ([RosterPlayer(1)], "a player id must be a str, not int"),
+    ([RosterPlayer("H1", b"Ann")], "a player name must be a str, not bytes"),
+    ([RosterPlayer("H1", starter=1)], "a starter must be a bool, not int"),
+], ids=["ids", "a-none", "int-id", "bytes-name", "int-starter"])
+def test_roster_refuses_wrong_typed_players(players, message):
+    with pytest.raises(TypeError, match=message):
+        Roster("H", players)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("H", [1, 2]), "a player id must be a str, not int"),
+    ((None, ["H1"]), "a team name must be a str, not NoneType"),
+    (("H", ["H1", "H2"], ["Ann", None]), "a player name must be a str, not NoneType"),
+    (("H", ["H1"], None, [1]), "a starter must be a bool, not int"),
+    (("H", ["H1"], None, ["yes"]), "a starter must be a bool, not str"),
+], ids=["int-ids", "none-team-name", "none-name", "int-starter", "str-starter"])
+def test_roster_from_columns_refuses_wrong_typed_columns(args, message):
+    with pytest.raises(TypeError, match=message):
+        Roster.from_columns(*args)
+
+
+@pytest.mark.parametrize("log", [
+    "#team Reds A B\n#team Blues D E\nA -> B\n", None, build_demo_log().arrays,
+    build_demo_log().teams,
+], ids=["text", "none", "event-arrays", "rosters"])
+def test_analyze_game_refuses_anything_but_a_game_log(log):
+    with pytest.raises(TypeError, match="analyze_game needs a GameLog, not"):
+        analyze_game(log)
+
+
 def test_rosters_stay_columns(monkeypatch, demo_playscript_path, demo_json_path):
     def no_objects(self, *args, **kwargs):
         raise AssertionError("built a RosterPlayer")

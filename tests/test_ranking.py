@@ -190,6 +190,17 @@ def test_zero_row_is_a_corrupted_graph():
             read(_digraph(counts, ("p", "q", GOAL)))
 
 
+def test_a_negative_arc_weight_is_a_corrupted_graph():
+    # out-degrees [-2, 2]: no zero row, and yet no chain
+    def digraph():
+        return PlayDigraph(("p", GOAL), *np.array([[0, 0, 1, 1], [1, 1, 0, 1], [1, -3, 1, 1]]))
+
+    for read in (to_transition, lambda g: g.row_sums, stationary_power, stationary_direct,
+                 solve_stationary):
+        with pytest.raises(CorruptedGraphError, match="arc 'p' -> GOAL has weight -3"):
+            read(digraph())
+
+
 @settings(max_examples=40, deadline=None)
 @given(log=games)
 def test_solvers_take_the_digraph_straight_from_build_digraph(log):

@@ -195,7 +195,8 @@ arc_lists = st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(
 @given(arcs=arc_lists)
 def test_matrix_dumps_are_the_counts_and_the_exact_rows(arcs):
     # any arcs: repeated, out of order, zero or negative weights (a digraph
-    # built by hand); each cell as str writes its int or its Fraction
+    # built by hand); each cell as str writes its int or its Fraction, and a
+    # chain with a negative weight or a node without out-arcs is refused
     k, arcs = arcs
     src, dst, weight = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
     g = PlayDigraph((*(f"n{i}" for i in range(k - 1)), GOAL), src, dst, weight)
@@ -206,7 +207,7 @@ def test_matrix_dumps_are_the_counts_and_the_exact_rows(arcs):
         return lines[1:]
 
     assert dump("adjacency") == [" ".join(map(str, row)) for row in g.counts.tolist()]
-    if not np.bincount(src, weight, k).all():
+    if (weight < 0).any() or not np.bincount(src, weight, k).all():
         for form in ("row-stochastic", "column-stochastic"):
             with pytest.raises(CorruptedGraphError):
                 dump(form)

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 
+from playrank.render import MATRIX_FORMS
+
 from conftest import REPO_ROOT
 
 
@@ -60,16 +62,20 @@ def test_exact_outputs_digests_the_float_transition_matrix():
     assert script.digest(other.text, "json")["matrix"] != hashlib.sha256(want).hexdigest()
 
 
-def test_exact_outputs_digests_the_exact_stochastic_dump_of_small_games_only():
+def test_exact_outputs_digests_every_matrix_dump_of_small_games_only():
     script = _exact_outputs()
     game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
-    dump = script.render_matrix(script.build_digraph(script.parse_gamelog(game.text)),
-                                "row-stochastic")
-    want = hashlib.sha256(dump.encode()).hexdigest()
-    assert script.digest(game.text, "json")["rational"] == want
+    g = script.build_digraph(script.parse_gamelog(game.text))
+    digests = script.digest(game.text, "json")
+    assert sorted(script.MATRIX_DUMPS.values()) == sorted(MATRIX_FORMS)
+    for field, form in script.MATRIX_DUMPS.items():
+        dump = script.render_matrix(g, form)
+        assert digests[field] == hashlib.sha256(dump.encode()).hexdigest()
+    assert len({digests[field] for field in script.MATRIX_DUMPS}) == 3
     wide = script.gen.wide_roster(1, games=1)[0]
     assert len(wide.players) + 1 > script.RATIONAL_MAX_NODES
-    assert script.digest(wide.text, wide.fmt)["rational"] == "-"
+    wide_digests = script.digest(wide.text, wide.fmt)
+    assert all(wide_digests[field] == "-" for field in script.MATRIX_DUMPS)
 
 
 def test_exact_outputs_digests_each_comparison():
