@@ -28,7 +28,9 @@ the ``validate_game`` list and of the ``error`` (class, ``kind`` where the
 error has one, and text); "-" marks a stage that did not run (a parse
 error, or a log with violations).  ``api`` digests the same log rebuilt from
 its event objects, ``GameLog(sport, teams, events, metadata)``: its
-violations and, when it has none, its arc counts.
+violations and, when it has none, its arc counts.  ``gamelog`` digests the
+parsed log written back as JSON, ``render_gamelog(log)``, or its error, with
+or without violations, so out-of-range integers reach the writer too.
 
 After each seed's inputs come its comparison lines: one per ``season``
 round of 24 games, in order, and one for the ``wide_roster`` set.  Each
@@ -58,7 +60,7 @@ from playrank import (  # noqa: E402
 )
 
 FIELDS = ("counts", "matrix", "adjacency", "rational", "column", "json", "table", "csv",
-          "direct", "both", "violations", "error", "api")
+          "direct", "both", "violations", "error", "api", "gamelog")
 MATRIX_DUMPS = {"adjacency": "adjacency", "rational": "row-stochastic",
                 "column": "column-stochastic"}
 RATIONAL_MAX_NODES = 64
@@ -118,6 +120,10 @@ def digest(text: str, fmt: str) -> dict[str, str]:
         out["error"] = _error(exc)
         return out
     out["api"] = _api_digest(log)
+    try:
+        out["gamelog"] = _sha(render_gamelog(log))
+    except ValueError as exc:
+        out["gamelog"] = _error(exc)
     violations = validate_game(log)
     out["violations"] = _sha("\n".join(map(str, violations)))
     if violations:

@@ -95,7 +95,7 @@ def _parse_events(events: list, sport: Sport, teams: tuple[Roster, Roster]) -> E
     arrays = None
     try:
         kind = np.fromiter(map(_KINDS.__getitem__, map(itemgetter("type"), events)), np.intp)
-        arrays = EventArrays.read(events, kind, teams, sport, itemgetter)
+        arrays = EventArrays.read(events, kind, teams, sport)
         # read raises on a missing key, so the key count is exact iff its sum is
         if (sum(map(len, events)) == _SIZES[sport][kind].sum() and not arrays.odd
                 and len(arrays.ids) == sum(len(t.ids) for t in teams)):

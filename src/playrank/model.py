@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -313,11 +313,12 @@ class EventArrays(NamedTuple):
     odd: dict
 
     @classmethod
-    def read(cls, items: Sequence, kind: np.ndarray, teams, sport: Sport | None = None,
-             getter=attrgetter) -> EventArrays:
+    def read(cls, items: Sequence, kind: np.ndarray, teams,
+             sport: Sport | None = None) -> EventArrays:
         """Read ``items`` kind by kind via a NodeIndex: the fields of each
-        kind's EVENT_SPECS row, from event objects, or with ``sport`` and
-        itemgetter from wire dicts, which carry only ``wire_ints(sport)``."""
+        kind's EVENT_SPECS row, as attributes of event objects, or, given
+        ``sport``, as keys of wire dicts, which carry only ``wire_ints(sport)``."""
+        getter = itemgetter if sport else attrgetter
         index = NodeIndex(teams)
         order = kind.astype(np.uint8).argsort(kind="stable")  # by kind, a radix sort
         present = np.flatnonzero(np.bincount(kind))
@@ -382,7 +383,8 @@ class Roster(Record):
     are held as the columns ``ids``, ``names`` and ``starters``; ``players``
     rebuilds their objects on each call, and ==, hash and pickle read columns.
     A player that is no RosterPlayer, a team name, id or player name that is
-    no str, or a starter that is no bool is a TypeError."""
+    no str, or a starter that is no bool is a TypeError; names or starters
+    not one per id, a ValueError."""
 
     __slots__ = ("name", "ids", "names", "starters")
     _fields = ("name", "players")
@@ -405,6 +407,9 @@ class Roster(Record):
         return roster
 
     def _set_columns(self, name, ids: tuple, names: tuple, starters: tuple) -> None:
+        for what, values in (("player names", names), ("starters", starters)):
+            if len(values) != len(ids):
+                raise ValueError(f"{len(values)} {what} for {len(ids)} player ids")
         for what, values, kind in (("team name", (name,), str), ("player id", ids, str),
                                    ("player name", names, str), ("starter", starters, bool)):
             if not all(map(isinstance, values, repeat(kind))):

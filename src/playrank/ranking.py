@@ -172,8 +172,6 @@ def arc_columns(log: GameLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     src, dst = ends.take(src_col * m + rows), ends.take(dst_col * m + rows)
     weight = by_field * arr.weight + constant  # constant is 0 where by_field
     live = weight != 0
-    if live.all():
-        return src, dst, weight
     return src[live], dst[live], weight[live]
 
 

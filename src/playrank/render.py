@@ -49,6 +49,20 @@ def _team_lines(aggs: tuple[TeamAggregate, TeamAggregate]) -> list[str]:
 
 def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] | None,
                   fmt: str = "table", solver_gap: float | None = None) -> str:
+    """``report`` and, unless ``aggs`` is None, its two team aggregates in
+    ``fmt``.  A report that is no IpmReport, or aggregates that are not a
+    tuple of TeamAggregates, is a TypeError; a tuple of other than two, a
+    ValueError."""
+    if not isinstance(report, IpmReport):
+        raise TypeError(f"report must be an IpmReport, not {type(report).__name__}")
+    if aggs is not None:
+        if not isinstance(aggs, tuple):
+            raise TypeError(f"aggs must be None or a pair of TeamAggregates, "
+                            f"not {type(aggs).__name__}")
+        if not all(isinstance(t, TeamAggregate) for t in aggs):
+            raise TypeError(f"aggs must be TeamAggregates, not {[type(t).__name__ for t in aggs]}")
+        if len(aggs) != 2:
+            raise ValueError(f"aggs must be a pair of TeamAggregates, got {len(aggs)}")
     if fmt == "table":
         lines = ["Player | Team | IPM"]
         lines += [f"{p.player} | {p.team} | {p.ipm:.2f}" for p in report.standings]

@@ -3,11 +3,10 @@
 Games are valid by construction (generate_random_game output always passes
 validate_game) and deterministic for a fixed seed under one numpy version.
 Each column is drawn once per game against the KIND_TABLE rows that
-validation checks.  Event types are drawn with the default weights in their
-rows of EVENT_SPECS; pass weights to skew the mix, keyed by wire name (e.g.
-{"pass": 10.0, "score": 1.0}).  Players are drawn to fit each kind's pair
-rule and integer fields uniformly within their bounds.  Events needing two
-teammates (passes) are dropped from the pool automatically in 1-on-1 games.
+validation checks.  Event types are drawn with the weights in their rows of
+EVENT_SPECS.  Players are drawn to fit each kind's pair rule and integer
+fields uniformly within their bounds.  Events needing two teammates
+(passes) are dropped from the pool in 1-on-1 games.
 """
 
 from __future__ import annotations
@@ -27,45 +26,22 @@ def _make_rosters(sport: Sport, n_players: int) -> tuple[Roster, Roster]:
                                     ("Away", n_players // 2)))
 
 
-def generate_random_game(
-    sport: Sport,
-    n_players: int,
-    n_events: int,
-    seed: int,
-    weights: dict[str, float] | None = None,
-) -> GameLog:
-    """Build a deterministic random GameLog that always validates clean.
-
-    Raises ValueError when ``n_events`` > 0 and no event type is left to
-    draw (no weight is positive, or only passes remain in a 1-on-1 game).
-    """
+def generate_random_game(sport: Sport, n_players: int, n_events: int, seed: int) -> GameLog:
+    """Build a deterministic random GameLog that always validates clean."""
     if n_players < 2:
         raise ValueError(f"need at least 2 players, got {n_players}")
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
 
     legal, pair_rule, lo, hi = KIND_TABLE[sport][:4]
-    kinds = np.flatnonzero(legal)
-    table = {EVENT_SPECS[k].name: EVENT_SPECS[k].sports[sport][1] for k in kinds}
-    if weights is not None:
-        unknown = set(weights) - set(table)
-        if unknown:
-            raise ValueError(
-                f"weights for non-{sport.value} event types: {sorted(unknown)}")
-        table.update(weights)
-
     home, away = _make_rosters(sport, n_players)
     size = np.array([len(home.ids), len(away.ids)])  # nodes: home, then away
-    share = np.array(list(table.values()), dtype=float)
-    # a weight <= 0 or NaN drops its type, and passes need a team of two
-    keep = (share > 0) & ((pair_rule[kinds] != 1) | (size[0] >= 2))
-    pool, share = kinds[keep], share[keep]
-    if n_events and not pool.size:
-        raise ValueError(f"no {sport.value} event type has a positive weight "
-                         f"that this roster can play")
+    # passes need a team of two; every sport has kinds without a teammate pair
+    pool = np.flatnonzero(legal & ((pair_rule != 1) | (size[0] >= 2)))
+    share = np.array([EVENT_SPECS[k].sports[sport][1] for k in pool.tolist()], dtype=float)
 
     rng = np.random.default_rng(abs(seed))  # a negative seed plays its absolute value
-    kind = rng.choice(pool, n_events, p=share / share.sum()) if pool.size else pool
+    kind = rng.choice(pool, n_events, p=share / share.sum())
     pair = pair_rule[kind]
     # the first role's team; home is never the smaller, so teammates fall back to it
     team = rng.integers(0, 2, n_events) * ((pair != 1) | (size[1] >= 2))

@@ -18,7 +18,7 @@ from playrank.ranking import (
     CorruptedGraphError, PlayDigraph, init_digraph, stationary_direct, to_transition,
 )
 from playrank.render import (
-    COMPARISON_FORMATS, render_comparison, render_matrix, render_report,
+    COMPARISON_FORMATS, REPORT_FORMATS, render_comparison, render_matrix, render_report,
 )
 
 from golden import DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, build_demo_log
@@ -162,6 +162,25 @@ def test_unknown_format_rejected():
         render_matrix(build_digraph(build_demo_log()), "hermitian")
     with pytest.raises(ValueError):
         render_comparison(compare_games({"g": report}), "xml")
+
+
+@pytest.mark.parametrize("args, error, message", [
+    (lambda r, a: (None, a), TypeError, "report must be an IpmReport, not NoneType"),
+    (lambda r, a: (r._asdict(), a), TypeError, "report must be an IpmReport, not dict"),
+    (lambda r, a: (r, (1, 2)), TypeError, r"aggs must be TeamAggregates, not \['int', 'int'\]"),
+    (lambda r, a: (r, list(a)), TypeError, "aggs must be None or a pair of TeamAggregates, "
+                                           "not list"),
+    (lambda r, a: (r, a[0]), TypeError, r"aggs must be TeamAggregates, not \['str', 'int'"),
+    (lambda r, a: (r, ()), ValueError, "aggs must be a pair of TeamAggregates, got 0"),
+    (lambda r, a: (r, a[:1]), ValueError, "aggs must be a pair of TeamAggregates, got 1"),
+    (lambda r, a: (r, a + a[:1]), ValueError, "aggs must be a pair of TeamAggregates, got 3"),
+], ids=["none-report", "dict-report", "int-pair", "list", "one-aggregate", "empty", "one",
+        "three"])
+def test_render_report_refuses_wrong_arguments(args, error, message):
+    report, aggs = _report(build_demo_log())
+    for fmt in REPORT_FORMATS:
+        with pytest.raises(error, match=message):
+            render_report(*args(report, aggs), fmt)
 
 
 def test_comparison_error_names_the_comparison_formats():

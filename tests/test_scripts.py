@@ -49,6 +49,15 @@ def test_exact_outputs_digests_a_small_game_and_its_mutants():
     assert any(name.endswith("=ghost") for name in violations)
     assert any(name.endswith("=1180591620717411303424") for name in violations)
     assert all(lines[name]["matrix"] == "-" for name in errors + violations)
+    log = script.parse_gamelog(game.text)
+    assert clean["gamelog"] == hashlib.sha256(script.render_gamelog(log).encode()).hexdigest()
+    assert all(lines[name]["gamelog"] == "-" for name in errors)
+    huge = next(doc for name, doc in script._mutants("m", json.loads(game.text))
+                if name.endswith("=1180591620717411303424"))  # 2**70, kept in the log's odd
+    text = script.render_gamelog(script.parse_gamelog(json.dumps(huge)))
+    assert "1180591620717411303424" in text
+    assert script.digest(json.dumps(huge), "json")["gamelog"] == \
+        hashlib.sha256(text.encode()).hexdigest() != clean["gamelog"]
 
 
 def test_exact_outputs_digests_the_float_transition_matrix():
