@@ -120,9 +120,15 @@ def _winner_index(metadata: GameMetadata | None) -> int | None:
     return 0 if a > b else 1
 
 
+def _check_report(report: object, where: str = "") -> None:
+    if not isinstance(report, IpmReport):
+        raise TypeError(f"report{where} must be an IpmReport, not {type(report).__name__}")
+
+
 def aggregates(report: IpmReport,
                metadata: GameMetadata | None = None) -> tuple[TeamAggregate, TeamAggregate]:
     """Per-team average IPMs (all players and designated starters), team 1 first."""
+    _check_report(report)
     winner = _winner_index(metadata)
     teams = []
     # players keep roster order, so each team is one run; sums stay in that order
@@ -159,6 +165,7 @@ def compare_games(reports: Mapping[str, IpmReport]) -> CrossGameTable:
     # each report reversed so the first occurrence of a repeated id wins
     cells: defaultdict[str, dict[str, float]] = defaultdict(dict)
     for gid, report in reports.items():
+        _check_report(report, f" {gid!r}")
         for p in reversed(report.players):
             cells[p.player][gid] = p.ipm
     blank = dict.fromkeys(game_ids)  # `blank | got` keeps game order, None where absent

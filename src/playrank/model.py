@@ -362,7 +362,8 @@ class EventArrays(NamedTuple):
 
 # The most players a game may have, as the direct solve is dense and cubic: at
 # 2,000 players and 10,000 events `rank --solver both` peaks at 101 MB RSS in
-# 0.5 s, `--solver power` (nothing k x k) at 35 MB in 0.2 s (BLAS on one thread).
+# 0.5 s and keeps its thread's 32 MB T^t buffer, `--solver power` (k^2 > arcs,
+# so nothing k x k) at 35 MB in 0.2 s (BLAS on one thread).
 MAX_PLAYERS = 2_000
 
 

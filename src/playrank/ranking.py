@@ -21,14 +21,19 @@ each entry is an exact ratio of integers (``render.render_matrix`` writes it
 as one).  The stationary vector v solves T^t v = v with sum(v) = 1 and is
 computed two independent ways: power iteration on T^t and a dense linear
 solve (LU with partial pivoting).  Each serves as an oracle for the other.
-Power iteration steps on the arcs (one weighted bincount per step,
-O(arcs)), never on a k x k matrix; the solve scatters the arcs into a k x k
-float64 T and drops it on return, so nothing k x k outlives a solve.
+Both read a dense float64 T^t from one builder (``_dense_transpose``), which
+scatters the arcs into a buffer kept per thread and grown to the largest k^2
+it has held: 8 k^2 bytes survive a solve, 32 MB at the 2,000-player cap.
+The solve always takes it.  Power iteration steps on it (one BLAS product,
+O(k^2)) when k^2 <= arcs, so the matrix holds no more entries than the arc
+list; otherwise each step is one weighted bincount over the arcs, O(arcs),
+and nothing k x k is built.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from functools import cached_property
 
@@ -38,6 +43,8 @@ from .model import GOAL, KIND_TABLE, GameLog, NodeRef, Record, Roster
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 1_000
+
+_workspace = threading.local()  # ``buf``: this thread's float64 T^t storage
 
 
 class RankingError(Exception):
@@ -104,13 +111,21 @@ class PlayDigraph(Record, by_identity=True):
             )
         return row_sums
 
-    def _dense(self) -> np.ndarray:
-        """A new C-ordered float64 T scattered from the arcs: the integer
-        counts (exact in float64), each divided by its row's sum."""
+    def _dense_transpose(self) -> np.ndarray:
+        """T^t as an F-ordered k x k view of this thread's buffer, which the
+        next call in the thread overwrites: the integer counts (exact in
+        float64) scattered in, each column divided by its node's row sum."""
         k = len(self.nodes)
-        m = np.bincount(self.src * k + self.dst, self.weight, k * k).reshape(k, k)
-        m /= self.row_sums[:, None]
-        return m
+        buf = getattr(_workspace, "buf", None)
+        if buf is None or buf.size < k * k:
+            buf = _workspace.buf = np.empty(k * k)
+        flat = buf[:k * k]
+        flat.fill(0.0)
+        # 1-D and float64 on both sides: numpy's fast path for add.at
+        np.add.at(flat, self.dst + self.src * k, self.weight.astype(np.float64))
+        tt = flat.reshape((k, k), order="F")  # tt[j, i] = arcs(i -> j)
+        tt /= self.row_sums
+        return tt
 
     def _arc_matvec(self) -> Callable[[np.ndarray], np.ndarray]:
         """v -> T^t v as one weighted bincount over the arcs, O(arcs) per call."""
@@ -220,14 +235,16 @@ def stationary_power(
     best-effort vector: after ``max_iters`` iterations, or earlier, once the
     step's decay over the last half of the run (every 32 iterations) puts
     ``tol`` beyond twice ``max_iters``.  The step never grows, since T is
-    stochastic, and it shrinks about geometrically.  Each step sums over the
-    arcs, so no k x k matrix is built.
+    stochastic, and it shrinks about geometrically.  A step multiplies the
+    dense T^t when it has no more entries than the arcs (k^2 <= arcs), and
+    sums over the arcs otherwise, building nothing k x k.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    k, matvec = len(t.nodes), t._arc_matvec()
+    k = len(t.nodes)
+    matvec = t._dense_transpose().dot if k * k <= len(t.src) else t._arc_matvec()
     v = np.full(k, 1.0 / k)
     steps = []
     for it in range(1, max_iters + 1):
@@ -255,12 +272,13 @@ def stationary_direct(t: PlayDigraph) -> RankVector:
     """Stationary vector from the linear system (T^t - I) v = 0, sum(v) = 1.
 
     The redundant last equation is replaced by the normalization row and the
-    system solved densely by LU with partial pivoting.  Independent of the
-    power route, so the two can cross-check each other.  The residual
+    system solved densely by LU with partial pivoting, set up in this
+    thread's T^t buffer (``_dense_transpose``).  Independent of the power
+    route, so the two can cross-check each other.  The residual
     max |T^t v - v| is summed over the arcs.
     """
     k = len(t.nodes)
-    a = t._dense().T  # T^t, F-ordered as LAPACK takes it; no k x k identity
+    a = t._dense_transpose()  # F-ordered as LAPACK takes it; no k x k identity
     a[np.diag_indices(k)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(k)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import EVENT_SPECS, KIND_TABLE, EventArrays, GameLog, Roster, Sport
+from .model import EVENT_SPECS, KIND_TABLE, MAX_PLAYERS, EventArrays, GameLog, Roster, Sport
 
 _STARTERS_PER_TEAM = {Sport.BASKETBALL: 5, Sport.SOCCER: 11, Sport.HOCKEY: 6}
 
@@ -27,9 +27,13 @@ def _make_rosters(sport: Sport, n_players: int) -> tuple[Roster, Roster]:
 
 
 def generate_random_game(sport: Sport, n_players: int, n_events: int, seed: int) -> GameLog:
-    """Build a deterministic random GameLog that always validates clean."""
-    if n_players < 2:
-        raise ValueError(f"need at least 2 players, got {n_players}")
+    """Build a deterministic random GameLog that always validates clean.
+
+    Raises ValueError for an unknown sport, fewer than 2 or more than
+    MAX_PLAYERS players, or a negative event count."""
+    sport = Sport(sport)
+    if not 2 <= n_players <= MAX_PLAYERS:
+        raise ValueError(f"need 2 to {MAX_PLAYERS} players, got {n_players}")
     if n_events < 0:
         raise ValueError(f"n_events must be >= 0, got {n_events}")
 

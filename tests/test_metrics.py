@@ -218,6 +218,11 @@ def test_aggregates_needs_two_team_runs(rosters):
         aggregates(report)
 
 
+def test_aggregates_takes_only_a_report():
+    with pytest.raises(TypeError, match="report must be an IpmReport, not str"):
+        aggregates("x")
+
+
 def test_equal_ipm_game_has_balanced_aipm():
     report = _report_for(GameLog(Sport.HOCKEY, _rosters(3, 3), ()))
     aggs = aggregates(report, GameMetadata(final_score="not a score"))
@@ -321,6 +326,13 @@ def test_compare_disjoint_rosters_unions_rows():
 def test_compare_requires_a_report():
     with pytest.raises(ValueError):
         compare_games({})
+
+
+def test_compare_requires_reports_as_values():
+    report = _report_for(build_demo_log())
+    for bad in ("x", None, report.players):
+        with pytest.raises(TypeError, match="report 'h' must be an IpmReport"):
+            compare_games({"g": report, "h": bad})
 
 
 def test_compare_requires_a_mapping():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
-    EVENT_SPECS, GOAL, OPPONENTS, TEAMMATES, ContestedMiss, Event,
+    EVENT_SPECS, GOAL, MAX_PLAYERS, OPPONENTS, TEAMMATES, ContestedMiss, Event,
     FoulNoFreeThrows, FoulWithFreeThrows, GameLog, GameMetadata, Pass, Roster,
     RosterPlayer, Save, Score, Sport, UncontestedMissRebounded, Violation, _Goal,
     validate_game,
@@ -425,6 +425,19 @@ def test_generator_hockey_500_events_validates():
 def test_generator_rejects_tiny_rosters():
     with pytest.raises(ValueError):
         generate_random_game(Sport.BASKETBALL, 1, 10, seed=0)
+
+
+def test_generator_rejects_an_unknown_sport_with_a_value_error():
+    with pytest.raises(ValueError, match="'curling' is not a valid Sport"):
+        generate_random_game("curling", 6, 5, seed=1)
+    assert generate_random_game("soccer", 6, 5, seed=1) == generate_random_game(
+        Sport.SOCCER, 6, 5, seed=1)
+
+
+def test_generator_stops_at_the_player_cap():
+    assert validate_game(generate_random_game(Sport.SOCCER, MAX_PLAYERS, 5, seed=1)) == []
+    with pytest.raises(ValueError, match=f"need 2 to {MAX_PLAYERS} players, got {MAX_PLAYERS + 1}"):
+        generate_random_game(Sport.SOCCER, MAX_PLAYERS + 1, 5, seed=1)
 
 
 def test_generator_rejects_a_negative_event_count():

@@ -1,5 +1,8 @@
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from playrank import ranking
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
     EVENT_SPECS, GOAL, MAX_PLAYERS, GameLog, Pass, Roster, RosterPlayer, Save,
@@ -160,9 +164,10 @@ def test_floats_are_the_counts_over_the_row_sums_exactly(log):
     t = to_transition(build_digraph(log))
     counts = t.counts
     assert np.array_equal(t.row_sums, counts.sum(axis=1))
-    dense = t._dense()  # the direct solve's T
-    assert np.array_equal(dense, counts / t.row_sums[:, None])
-    assert dense.flags.c_contiguous
+    dense = t._dense_transpose()  # both solvers' T^t, in this thread's buffer
+    expected = (counts / t.row_sums[:, None]).T
+    assert dense.dtype == np.float64 and dense.flags.f_contiguous
+    assert dense.tobytes(order="F") == expected.tobytes(order="F")  # bit for bit
 
 
 def test_apply_events_rejects_what_validation_rejects():
@@ -533,6 +538,100 @@ def test_solvers_match_the_gth_oracle(counts):
     assert np.abs(stationary_direct(t).values - exact).max() <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(counts=count_matrices(max_k=8, hub=True))
+def test_dense_and_arc_steps_agree(counts):
+    # One arc per nonzero count: the arc step while some count is 0.  The same
+    # chain padded with weight-0 arcs up to k^2 arcs takes the dense step.
+    k = len(counts)
+    arcs = _pattern_matrix(counts)
+    pad = k * k - len(arcs.src)
+    dense = PlayDigraph(arcs.nodes, np.concatenate((arcs.src, np.zeros(pad, np.int64))),
+                        np.concatenate((arcs.dst, np.zeros(pad, np.int64))),
+                        np.concatenate((arcs.weight, np.zeros(pad, np.int64))))
+    assert len(dense.src) == k * k
+    # The two steps sum in other orders, so a step may differ by about 1e-16:
+    # a stop decided within that of tol could come one iteration apart.  At
+    # tol 1e-9 that is a 1e-7 chance per chain, so the counts must agree.
+    by_arcs, by_dense = stationary_power(arcs, tol=1e-9), stationary_power(dense, tol=1e-9)
+    assert by_arcs.iterations == by_dense.iterations
+    assert np.abs(by_arcs.values - by_dense.values).max() <= 1e-15
+    exact = np.array([float(x) for x in _gth_stationary(counts)])
+    assert np.abs(stationary_power(dense, tol=1e-14).values - exact).max() <= 1e-12
+
+
+def _fresh_thread(fn):
+    """``fn()`` run in a new thread, so with no T^t buffer yet."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
+def test_power_on_arcs_never_builds_the_buffer():
+    t = to_transition(build_digraph(generate_random_game(Sport.SOCCER, 350, 2_000, 7)))
+    assert len(t.nodes) ** 2 > len(t.src)
+
+    def solve():
+        stationary_power(t)
+        return getattr(ranking._workspace, "buf", None)
+    assert _fresh_thread(solve) is None
+
+
+def test_the_buffer_is_one_float64_matrix_kept_and_grown():
+    small, large = (to_transition(build_digraph(generate_random_game(Sport.HOCKEY, n, m, 3)))
+                    for n, m in ((30, 2_000), (60, 50)))
+    assert len(small.nodes) ** 2 <= len(small.src)  # power takes the dense step
+    j, k = len(small.nodes), len(large.nodes)
+
+    def solve():
+        stationary_power(small)  # the dense step makes the buffer
+        buf = ranking._workspace.buf
+        assert buf.dtype == np.float64 and buf.size == j * j
+        stationary_direct(small)  # and warms the lazy imports
+        assert ranking._workspace.buf is buf  # reused
+        del buf
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stationary_direct(large)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ranking._workspace.buf.size == k * k  # grown, the small one dropped
+        stationary_direct(small)
+        assert ranking._workspace.buf.size == k * k  # never shrunk
+        return grown
+    # one k x k float64 buffer survives the solve, and nothing else does (the
+    # j x j one predates tracing, so its release is not counted)
+    assert 0 <= _fresh_thread(solve) - 8 * k * k < 4096
+
+
+def test_threads_solving_at_once_get_the_sequential_results():
+    # more threads than cores, switching often, each graph of its own size
+    graphs = [to_transition(build_digraph(generate_random_game(sport, n, 3_000, seed)))
+              for sport, n, seed in ((Sport.BASKETBALL, 20, 1), (Sport.SOCCER, 30, 2),
+                                     (Sport.HOCKEY, 24, 3), (Sport.BASKETBALL, 12, 4))]
+    assert all(len(t.nodes) ** 2 <= len(t.src) for t in graphs)  # the dense step
+
+    def solve(t):
+        return [stationary_power(t).values, stationary_direct(t).values]
+    expected = [solve(t) for t in graphs]
+    start = threading.Barrier(len(graphs), timeout=30)
+
+    def repeat(t):
+        start.wait()
+        return [solve(t) for _ in range(20)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(graphs)) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(repeat, t) for t in graphs]]
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(expected, results):
+        for values in got:
+            assert all(map(np.array_equal, values, want))
+
+
 @pytest.mark.parametrize("solver", ["power", "both"])
 def test_exhausted_power_budget_falls_back_to_direct(solver):
     t = to_transition(build_digraph(build_demo_log()))
@@ -575,11 +674,13 @@ def test_near_periodic_game_is_solved_directly():
 ] + [pytest.param("power", (Sport.BASKETBALL, MAX_PLAYERS, 10_000, 1), 1, id="power-at-cap")])
 def test_analysis_holds_no_dense_matrix(solver, game, bytes_per_entry):
     # At k = 351 nodes one k x k float64 matrix is 8 k^2 bytes (986 kB).  The
-    # direct solve builds one such matrix from the arcs and drops it (a peak
-    # of at most 1.5 of it); the analysis keeps the arc columns, which grow
-    # with the events, not with k^2.  The power path builds nothing k x k: at
-    # the player cap its peak stays below k^2 bytes, so not even a boolean
-    # pattern fits.
+    # direct solve builds T^t in its thread's buffer, which the warm-up call
+    # sized and the traced call reuses, so only LAPACK's copy comes and goes
+    # (a peak of at most 1.5 matrices); the analysis keeps the arc columns,
+    # which grow with the events, not with k^2.  These power solves have
+    # k^2 > arcs, so they step on the arcs and build nothing k x k: at the
+    # player cap the peak stays below k^2 bytes, so not even a boolean pattern
+    # fits.
     log = generate_random_game(*game)
     k = log.n_players + 1
     analyze_game(log, solver)  # warm caches and lazy imports
