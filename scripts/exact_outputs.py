@@ -24,13 +24,18 @@ row-stochastic one as ``rational`` and the column-stochastic one as
 dump grows with the square of the nodes), of the report in
 ``json``, ``table`` and ``csv``, of the JSON report with ``--solver
 direct`` and with ``--solver both`` (which adds the power/direct gap), of
-the ``validate_game`` list and of the ``error`` (class, ``kind`` where the
+``solve``, the text ``solve_text`` gives for the default, direct and
+``both`` reports in turn (a failed solve gives its error class), of the
+``validate_game`` list and of the ``error`` (class, ``kind`` where the
 error has one, and text); "-" marks a stage that did not run (a parse
 error, or a log with violations).  ``api`` digests the same log rebuilt from
 its event objects, ``GameLog(sport, teams, events, metadata)``: its
 violations and, when it has none, its arc counts.  ``gamelog`` digests the
 parsed log written back as JSON, ``render_gamelog(log)``, or its error, with
 or without violations, so out-of-range integers reach the writer too.
+``solve`` lets a ``diff`` tell IPMs that moved in their last digits (``json``,
+``csv`` and ``both`` differ, ``solve`` does not) from wrong IPMs or another
+iteration count (``solve`` differs too).
 
 After each seed's inputs come its comparison lines: one per ``season``
 round of 24 games, in order, and one for the ``wide_roster`` set.  Each
@@ -60,7 +65,8 @@ from playrank import (  # noqa: E402
 )
 
 FIELDS = ("counts", "matrix", "adjacency", "rational", "column", "json", "table", "csv",
-          "direct", "both", "violations", "error", "api", "gamelog")
+          "direct", "both", "solve", "violations", "error", "api", "gamelog")
+SOLVE_DECIMALS = 10  # the IPMs of ``solve``: 1e-10, far above a change of summation order
 MATRIX_DUMPS = {"adjacency": "adjacency", "rational": "row-stochastic",
                 "column": "column-stochastic"}
 RATIONAL_MAX_NODES = 64
@@ -111,6 +117,14 @@ def _error(exc: Exception) -> str:
     return _sha(f"{type(exc).__name__} {getattr(exc, 'kind', '-')}: {exc}")
 
 
+def solve_text(analysis) -> str:
+    """The solver's method and iterations, then each player's IPM rounded
+    to ``SOLVE_DECIMALS`` places, in roster order."""
+    rank = analysis.rank
+    return f"{rank.method} {rank.iterations}\n" + "".join(
+        f"{p.player} {p.ipm:.{SOLVE_DECIMALS}f}\n" for p in analysis.report.players)
+
+
 def digest(text: str, fmt: str) -> dict[str, str]:
     """The digests of one input document; "-" for the stages not reached."""
     out = dict.fromkeys(FIELDS, "-")
@@ -140,12 +154,16 @@ def digest(text: str, fmt: str) -> dict[str, str]:
             out[field] = _sha(render_matrix(analysis.digraph, form))
     for fmt in ("json", "table", "csv"):
         out[fmt] = _sha(render_report(analysis.report, analysis.teams, fmt))
+    solves = [solve_text(analysis)]
     for solver in ("direct", "both"):
         try:
             other = analyze_game(log, solver)
             out[solver] = _sha(render_report(other.report, other.teams, "json", other.solver_gap))
+            solves.append(solve_text(other))
         except RankingError as exc:
             out[solver] = _error(exc)
+            solves.append(f"{type(exc).__name__}\n")
+    out["solve"] = _sha("".join(solves))
     return out
 
 

@@ -13,18 +13,18 @@ import os
 import sys
 from pathlib import Path
 
-from .gamelog_json import SchemaError, parse_gamelog, render_gamelog
 from .metrics import DegenerateGoalRankError, compare_games
-from .model import MAX_PLAYERS, GameLog, Sport, validate_game
+from .model import MAX_PLAYERS, GameLog, ParseError, Sport, validate_game
 from .pipeline import (
     SOLVERS, GameAnalysis, ValidationFailed, analyze_game, build_digraph,
     parse_game_text,
 )
-from .playscript import PlayscriptError, parse_playscript
 from .ranking import POWER_MAX_ITERS, POWER_TOL, RankingError
 from .render import (COMPARISON_FORMATS, MATRIX_FORMS, REPORT_FORMATS, csv_text,
                      render_comparison, render_matrix, render_report)
-from .synth import generate_random_game
+
+# The parsers, the JSON writer and synth load inside the commands that run
+# them, so a process compiles only the modules its command uses.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,7 +55,7 @@ def _report_exception(path: Path | None, exc: Exception) -> int:
         for v in exc.violations:
             _err(f"{prefix}{v}")
         return EXIT_VALIDATION
-    if isinstance(exc, (PlayscriptError, SchemaError, OSError)):
+    if isinstance(exc, (ParseError, OSError)):
         code = EXIT_PARSE
     elif isinstance(exc, (RankingError, DegenerateGoalRankError)):
         code = EXIT_NUMERIC
@@ -73,8 +73,10 @@ def _load_log(path: Path, input_format: str) -> GameLog:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     text = text.removeprefix("\ufeff")  # a byte-order mark; byte offsets above stay absolute
     if input_format == "json":
+        from .gamelog_json import parse_gamelog
         return parse_gamelog(text)
     if input_format == "playscript":
+        from .playscript import parse_playscript
         return parse_playscript(text)
     return parse_game_text(text)
 
@@ -97,8 +99,10 @@ def _atomic_write(target: Path, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # the user's path, not tmp's
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
         raise
 
 
@@ -181,6 +185,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .gamelog_json import render_gamelog
+    from .synth import generate_random_game
     log = generate_random_game(Sport(args.sport), args.players, args.events,
                                args.seed)
     _emit(render_gamelog(log), args.output)

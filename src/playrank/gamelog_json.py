@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .model import (
-    EVENT_SPECS, EventArrays, GameLog, GameMetadata, Roster, Sport,
+    EVENT_SPECS, EventArrays, GameLog, GameMetadata, ParseError, Roster, Sport,
 )
 
 SCHEMA_VERSION = "1"
@@ -42,7 +42,7 @@ _SIZES = {sport: np.array([1 + len(s.roles) + len(s.wire_ints(sport)) for s in E
 _PLAYER_KEYS = frozenset(("id", "name", "starter"))
 
 
-class SchemaError(Exception):
+class SchemaError(ParseError):
     """Document shape/type problem at a specific path."""
 
     def __init__(self, path: str, reason: str):
@@ -90,15 +90,17 @@ def _check_event(obj: Any, sport: Sport, path: str) -> None:
 def _parse_events(events: list, sport: Sport, teams: tuple[Roster, Roster]) -> EventArrays:
     """Schema-check the event objects and read them as node columns, kind by
     kind (EventArrays.read).  On a missing field, an unhashable value, a role
-    that is no roster id or an integer beyond int64, the per-event checker
-    raises the first SchemaError; if it passes, validate_game reports the rest."""
+    that is no str or an integer beyond int64, the per-event checker raises
+    the first SchemaError; if it passes, validate_game reports the rest."""
     arrays = None
     try:
         kind = np.fromiter(map(_KINDS.__getitem__, map(itemgetter("type"), events)), np.intp)
         arrays = EventArrays.read(events, kind, teams, sport)
-        # read raises on a missing key, so the key count is exact iff its sum is
+        # read raises on a missing key, so the key count is exact iff its sum is;
+        # roster ids are str, so only an appended id can be a role of another type
+        appended = arrays.ids[sum(len(t.ids) for t in teams):]
         if (sum(map(len, events)) == _SIZES[sport][kind].sum() and not arrays.odd
-                and len(arrays.ids) == sum(len(t.ids) for t in teams)):
+                and all(isinstance(pid, str) for pid in appended)):
             return arrays
     except (LookupError, TypeError):
         pass

@@ -35,6 +35,11 @@ class Sport(str, Enum):
     HOCKEY = "hockey"
 
 
+class ParseError(Exception):
+    """A document that no parser can read as a game log: the base of
+    gamelog_json.SchemaError and playscript.PlayscriptError."""
+
+
 class _RecordType(type):
     """Makes each annotated field of a Record class a slot; a value given
     in the class body becomes that field's default.  A class declared with

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from .gamelog_json import parse_gamelog
 from .metrics import IpmReport, TeamAggregate, aggregates, compute_ipm
 from .model import GameLog, Record, Violation, validate_game
-from .playscript import parse_playscript
 from .ranking import (
     POWER_MAX_ITERS, POWER_TOL, NonConvergenceError, PlayDigraph, RankVector,
     RankingError, apply_events, check_primitive, init_digraph,
@@ -43,9 +41,12 @@ class GameAnalysis(Record, by_identity=True):
 
 
 def parse_game_text(text: str) -> GameLog:
-    """Auto-detect the input format: JSON documents start with '{'."""
+    """Auto-detect the input format: JSON documents start with '{'.  Each
+    parser is imported on first use, so a process loads only the one it reads."""
     if text.lstrip().startswith("{"):
+        from .gamelog_json import parse_gamelog
         return parse_gamelog(text)
+    from .playscript import parse_playscript
     return parse_playscript(text)
 
 

@@ -22,8 +22,8 @@ attribution, free throws) need the JSON format.
 from __future__ import annotations
 
 from .model import (
-    EVENT_SPECS, KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, Score, Sport,
-    UnforcedTurnover,
+    EVENT_SPECS, KIND_OF, Dispossess, EventArrays, GameLog, ParseError, Pass, Roster, Score,
+    Sport, UnforcedTurnover,
 )
 
 _PASS, _STEAL, _LOST, _SCORE = (
@@ -34,7 +34,7 @@ _POINTS = {"G": 1, **{f"G:{k}": k for low, high in [EVENT_SPECS[_SCORE].ints["po
                       for k in range(low, high + 1)}}
 
 
-class PlayscriptError(Exception):
+class PlayscriptError(ParseError):
     """Parse failure with source location.
 
     ``kind`` is one of "malformed-header", "unknown-token",

@@ -10,12 +10,9 @@ the transpose of the row-stochastic one).
 from __future__ import annotations
 
 import io
-import json
-from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .gamelog_json import fill_array
 from .metrics import CrossGameTable, IpmReport, PlayerIpm, TeamAggregate
 from .model import GOAL
 from .ranking import PlayDigraph
@@ -79,6 +76,10 @@ def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] |
             for p in report.standings)])
 
     if fmt == "json":
+        import json  # imported on first use, like csv
+        from json.encoder import encode_basestring_ascii as json_str
+
+        from .gamelog_json import fill_array
         # the report's fields, with its players in standings order laid out by column
         doc = {**report._asdict(), "players": []}
         del doc["standings"]
@@ -90,8 +91,8 @@ def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] |
         if report.standings:
             player, name, team, starter, rank, ipm = zip(*report.standings)
             text = fill_array(text, "players", [[(f, "{}") for f in PlayerIpm._fields]],
-                              [0] * len(player), map(_json_str, player), map(_json_str, name),
-                              map(_json_str, team), map(("false", "true").__getitem__, starter),
+                              [0] * len(player), map(json_str, player), map(json_str, name),
+                              map(json_str, team), map(("false", "true").__getitem__, starter),
                               _json_floats(rank), _json_floats(ipm))
         return text + "\n"
 

@@ -197,6 +197,14 @@ def test_rank_output_onto_directory_leaves_no_temp_file(capsys, tmp_path,
     assert target.is_dir() and not any(target.iterdir())
 
 
+def test_rank_output_into_a_missing_directory_names_the_target(capsys, tmp_path,
+                                                                demo_playscript_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "rank", str(demo_playscript_path), "-o", str(target))
+    assert code == 2 and out == ""
+    assert err == f"[Errno 2] No such file or directory: {str(target)!r}\n"
+
+
 # --- matrix / validate --------------------------------------------------------
 
 def test_matrix_adjacency(capsys, demo_playscript_path):

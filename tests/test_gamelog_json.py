@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from playrank import gamelog_json
 from playrank.gamelog_json import SchemaError, _check_player, parse_gamelog, render_gamelog
 from playrank.model import (
     FoulWithFreeThrows, GameLog, GameMetadata, Pass, Roster, RosterPlayer, Score, Sport,
@@ -129,6 +130,28 @@ def test_team_count_must_be_two():
     doc = _doc()
     doc["teams"][1]["players"] = []
     _expect_error(doc, "$.teams[1].players")
+
+
+def test_unknown_players_skip_the_per_event_checker(monkeypatch):
+    doc = json.loads(render_gamelog(generate_random_game(Sport.BASKETBALL, 8, 200, 3)))
+    for team in doc["teams"]:  # every event now names players on neither roster
+        for player in team["players"]:
+            player["id"] += "-renamed"
+    checked = []
+
+    def spy(obj, sport, path):
+        checked.append(path)
+        return check(obj, sport, path)
+
+    check = gamelog_json._check_event
+    monkeypatch.setattr(gamelog_json, "_check_event", spy)
+    log = parse_gamelog(json.dumps(doc))
+    assert checked == [] and len(validate_game(log)) >= len(doc["events"])
+    i = next(i for i, ev in enumerate(doc["events"]) if ev["type"] == "pass")
+    doc["events"][i]["passer"] = 5  # a role that is no str still reaches the checker
+    err = _expect_error(doc, f"$.events[{i}].passer")
+    assert err.path == f"$.events[{i}].passer" and err.reason == "expected a string, got int"
+    assert checked
 
 
 def test_unknown_event_type():

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 from playrank.render import MATRIX_FORMS
 
@@ -112,3 +113,23 @@ def test_exact_outputs_digests_playscript_mutants_solvers_and_error_kinds():
     token, player = (script.PlayscriptError(kind, 3, 1, "x")
                      for kind in ("unknown-token", "undeclared-player"))
     assert script._error(token) != script._error(player)  # same text, other kind
+
+
+def test_exact_outputs_solve_field_rounds_the_ipms_of_each_solver():
+    script = _exact_outputs()
+    game = script.gen.season(1, games=3, events=(10, 14), players=(6, 8))[0]
+    log = script.parse_gamelog(game.text)
+    analyses = [script.analyze_game(log, solver) for solver in ("power", "direct", "both")]
+    texts = list(map(script.solve_text, analyses))
+    want = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert script.digest(game.text, "json")["solve"] == want
+    assert texts[0].splitlines()[0] == f"power {analyses[0].rank.iterations}"
+    assert texts[1].startswith("direct 0\n")
+    players = analyses[0].report.players
+    assert texts[0].splitlines()[1:] == [f"{p.player} {p.ipm:.10f}" for p in players]
+
+    def moved(by):
+        report = analyses[0].report._replace(players=[p._replace(ipm=p.ipm + by) for p in players])
+        return script.solve_text(SimpleNamespace(rank=analyses[0].rank, report=report))
+
+    assert moved(1e-13) == texts[0] != moved(1e-6)

@@ -1,8 +1,12 @@
-"""Start-up cost: what ``import playrank`` and a first game pull in."""
+"""Start-up cost: what ``import playrank``, a first game and each command pull in."""
 
 import os
 import subprocess
 import sys
+
+import pytest
+
+import playrank
 
 from conftest import REPO_ROOT
 
@@ -36,13 +40,39 @@ for form in playrank.render.MATRIX_FORMS:
 print(" ".join(sorted(sys.modules)))
 """
 
+# One command line, then its exit code and the modules it loaded.
+COMMAND = """
+import sys
+from playrank.cli import main
+code = main(sys.argv[1:])
+print(code, " ".join(sorted(sys.modules)))
+"""
 
-def _loaded(script, *paths):
+# What ``import playrank`` loads, each submodule named on the command line,
+# the names ``from playrank import *`` binds and ``dir(playrank)``.
+EVERY_NAME = """
+import sys
+import playrank
+print(" ".join(m for m in sys.modules if m.startswith("playrank.")) or "-")
+print(" ".join(getattr(playrank, stem).__name__ for stem in sys.argv[1:]))
+namespace = {}
+exec("from playrank import *", namespace)
+print(" ".join(sorted(namespace.keys() - {"__builtins__"})))
+print(" ".join(dir(playrank)))
+"""
+
+
+def _run(script, *args):
+    """The stdout lines of ``script`` run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
+    out = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                          capture_output=True, text=True, env=env, check=True, timeout=60)
-    return out.stdout.split()
+    return out.stdout.splitlines()
+
+
+def _loaded(script, *args):
+    return _run(script, *args)[-1].split()
 
 
 def test_first_games_stay_off_cold_imports(demo_playscript_path, demo_json_path):
@@ -56,3 +86,33 @@ def test_matrix_dumps_stay_off_fractions_and_decimal(demo_playscript_path):
     loaded = _loaded(DUMPS, demo_playscript_path)
     assert "playrank.render" in loaded
     assert {"fractions", "decimal"}.isdisjoint(loaded)
+
+
+@pytest.mark.parametrize("command", ["rank", "compare"])
+def test_playscript_commands_load_no_json(demo_playscript_path, command):
+    games = [demo_playscript_path] * (2 if command == "compare" else 1)
+    code, *loaded = _loaded(COMMAND, command, *games)
+    assert code == "0" and "playrank.playscript" in loaded
+    assert {"playrank.gamelog_json", "playrank.synth", "json"}.isdisjoint(loaded)
+
+
+def test_json_batch_loads_no_playscript(demo_json_path, tmp_path):
+    code, *loaded = _loaded(COMMAND, "batch", demo_json_path, "--format", "json",
+                            "--output-dir", tmp_path)
+    assert code == "0" and "playrank.gamelog_json" in loaded
+    assert {"playrank.playscript", "playrank.synth"}.isdisjoint(loaded)
+
+
+def test_every_public_name_and_submodule_resolves_on_first_use():
+    stems = sorted(p.stem for p in (REPO_ROOT / "src" / "playrank").glob("*.py")
+                   if p.stem != "__init__")
+    at_import, modules, star, listed = _run(EVERY_NAME, *stems)
+    assert at_import == "-"
+    assert modules.split() == [f"playrank.{stem}" for stem in stems]
+    assert star.split() == sorted(playrank.__all__)
+    assert {*playrank.__all__, *stems} <= set(listed.split())
+    for name in playrank.__all__:  # the object its module binds
+        obj = getattr(playrank, name)
+        assert any(vars(getattr(playrank, stem)).get(name) is obj for stem in stems)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        playrank.no_such_name
