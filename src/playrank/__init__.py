@@ -19,7 +19,7 @@ _EXPORTS = {
     "gamelog_json": ("SchemaError", "parse_gamelog", "render_gamelog"),
     "metrics": (
         "CrossGameRow", "CrossGameTable", "DegenerateGoalRankError", "IpmReport",
-        "PlayerIpm", "TeamAggregate", "aggregates", "compare_games", "compute_ipm",
+        "PlayerIpm", "TeamAggregate", "aggregates", "compare_games",
     ),
     "model": (
         "GOAL", "Event", "GameLog", "GameMetadata", "NodeRef", "Roster", "RosterPlayer",
@@ -27,14 +27,12 @@ _EXPORTS = {
     ),
     "pipeline": (
         "GameAnalysis", "SolverDisagreement", "ValidationFailed", "analyze_game",
-        "build_digraph", "parse_game_text", "solve_stationary",
+        "build_digraph", "parse_game_text",
     ),
     "playscript": ("PlayscriptError", "parse_playscript"),
     "ranking": (
         "CorruptedGraphError", "NonConvergenceError", "PlayDigraph", "RankVector",
-        "RankingError", "SingularSystemError", "apply_events", "arc_columns",
-        "check_primitive", "init_digraph", "stationary_direct", "stationary_power",
-        "to_transition",
+        "RankingError", "SingularSystemError",
     ),
     "render": ("render_comparison", "render_matrix", "render_report"),
     "synth": ("generate_random_game",),

@@ -33,6 +33,10 @@ EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE: a bug, not a fault of the input
 
+# A game file larger than this is refused before it is read.  The largest
+# file synth writes (2,000 players, 1,000,000 events) is about 81 MiB.
+MAX_INPUT_BYTES = 128 * 2**20
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad usage; we reserve 2 for
@@ -67,6 +71,8 @@ def _report_exception(path: Path | None, exc: Exception) -> int:
 
 
 def _load_log(path: Path, input_format: str) -> GameLog:
+    if (size := path.stat().st_size) > MAX_INPUT_BYTES:
+        raise OSError(f"{path}: {size} bytes, over the input cap of {MAX_INPUT_BYTES} bytes")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # a read failure, like a missing file

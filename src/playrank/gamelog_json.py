@@ -195,6 +195,8 @@ def fill_array(text: str, key: str, layouts: list, which, *columns) -> str:
 
 def render_gamelog(log: GameLog) -> str:
     """Serialize a GameLog back to document text (stable field order)."""
+    if not isinstance(log, GameLog):
+        raise TypeError(f"render_gamelog needs a GameLog, not {type(log).__name__}")
     sport, arr, odd = log.sport, log.arrays, log.arrays.odd
     fixed = [len(s.wire_ints(sport)) < len(s.ints) for s in EVENT_SPECS]  # always worth 1
     for i in np.flatnonzero(np.take(fixed, arr.kind) & (arr.weight != 1)).tolist():

@@ -129,6 +129,8 @@ def aggregates(report: IpmReport,
                metadata: GameMetadata | None = None) -> tuple[TeamAggregate, TeamAggregate]:
     """Per-team average IPMs (all players and designated starters), team 1 first."""
     _check_report(report)
+    if not isinstance(metadata, (GameMetadata, type(None))):
+        raise TypeError(f"aggregates needs a GameMetadata or None, not {type(metadata).__name__}")
     winner = _winner_index(metadata)
     teams = []
     # players keep roster order, so each team is one run; sums stay in that order

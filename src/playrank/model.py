@@ -522,6 +522,8 @@ def validate_game(log: GameLog) -> list[Violation]:
     same log always yields the same list, and nothing is mutated.  Events
     are checked as columns; messages are written for the failing rows only.
     """
+    if not isinstance(log, GameLog):
+        raise TypeError(f"validate_game needs a GameLog, not {type(log).__name__}")
     out: list[Violation] = []
 
     seen: set[str] = set()

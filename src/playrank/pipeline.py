@@ -43,6 +43,8 @@ class GameAnalysis(Record, by_identity=True):
 def parse_game_text(text: str) -> GameLog:
     """Auto-detect the input format: JSON documents start with '{'.  Each
     parser is imported on first use, so a process loads only the one it reads."""
+    if not isinstance(text, str):
+        raise TypeError(f"parse_game_text needs a str, not {type(text).__name__}")
     if text.lstrip().startswith("{"):
         from .gamelog_json import parse_gamelog
         return parse_gamelog(text)
@@ -51,6 +53,8 @@ def parse_game_text(text: str) -> GameLog:
 
 
 def build_digraph(log: GameLog) -> PlayDigraph:
+    if not isinstance(log, GameLog):
+        raise TypeError(f"build_digraph needs a GameLog, not {type(log).__name__}")
     return apply_events(init_digraph(log.teams), log)
 
 

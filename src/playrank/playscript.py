@@ -80,6 +80,8 @@ def parse_playscript(text: str) -> GameLog:
     Raises PlayscriptError (with line and column) on the first problem; a
     partially parsed log is never returned.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_playscript needs a str, not {type(text).__name__}")
     teams: list[tuple[str, list[str]]] = []  # (name, player ids)
     starters: dict[str, tuple[int, int]] = {}  # id -> where #starters named it
     node: dict[str, int] = {}  # id -> node: roster order, team 1 then team 2

@@ -81,9 +81,6 @@ class PlayDigraph(Record, by_identity=True):
     def n_players(self) -> int:
         return len(self.nodes) - 1
 
-    def index_of(self, node: NodeRef) -> int:
-        return self.nodes.index(node)
-
     @cached_property
     def counts(self) -> np.ndarray:
         """Dense int64 arc-count matrix, ``counts[i, j]`` arcs i -> j."""

@@ -100,6 +100,8 @@ def render_report(report: IpmReport, aggs: tuple[TeamAggregate, TeamAggregate] |
 
 
 def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
+    if not isinstance(graph, PlayDigraph):
+        raise TypeError(f"render_matrix needs a PlayDigraph, not {type(graph).__name__}")
     if form not in MATRIX_FORMS:
         raise ValueError(f"unknown matrix form {form!r} (use one of {MATRIX_FORMS})")
     # a cell is its arcs merged, over 1 or its row's out-degree, reduced: p/q, or p if q is 1
@@ -119,6 +121,8 @@ def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
 
 
 def render_comparison(table: CrossGameTable, fmt: str = "table") -> str:
+    if not isinstance(table, CrossGameTable):
+        raise TypeError(f"render_comparison needs a CrossGameTable, not {type(table).__name__}")
     header = ["Player", *table.game_ids, "Mean"]
     gids = table.game_ids
     rows = [[r.player, *["" if v is None else f"{v:.2f}" for v in map(r.ipms.__getitem__, gids)],

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import time
 import tracemalloc
@@ -442,6 +443,27 @@ def test_a_game_over_the_player_cap_exits_1_before_any_matrix(capsys, tmp_path, 
     assert elapsed < 2.0
     # one (k x k) int64 or float64 matrix at this size alone would take 32 MB
     assert peak < 8 * 2**20
+
+
+def test_a_file_over_the_input_cap_is_refused_unread(capsys, tmp_path, demo_playscript_path):
+    path = tmp_path / "huge.json"
+    path.touch()
+    os.truncate(path, cli.MAX_INPUT_BYTES + 1)  # sparse: no disk blocks, nothing in memory
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "rank", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == (f"{path}: {cli.MAX_INPUT_BYTES + 1} bytes, "
+                   f"over the input cap of {cli.MAX_INPUT_BYTES} bytes\n")
+    assert peak < 2**20
+    out_dir = tmp_path / "reports"  # in a batch, only that file fails
+    code, _, err = run(capsys, "batch", str(path), str(demo_playscript_path),
+                       "--output-dir", str(out_dir))
+    assert code == 2 and err.startswith(f"{path}: ") and err.count("\n") == 1
+    assert (out_dir / "three_on_three.report.txt").exists()
 
 
 # --- usage ----------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_apply_events_refuses_an_appended_node(event):
     log = GameLog(Sport.BASKETBALL, rosters, (Pass("H1", "H2"), event))
     g = init_digraph(rosters)
     n = g.n_players
-    assert log.arrays.ids[n] == "ghost" and log.arrays.a[1] == n == g.index_of(g.nodes[-1])
+    assert log.arrays.ids[n] == "ghost" and log.arrays.a[1] == n == g.nodes.index(g.nodes[-1])
     before = g.counts.copy()
     with pytest.raises(KeyError, match="event 1"):
         apply_events(g, log)

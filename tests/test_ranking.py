@@ -98,7 +98,7 @@ def test_score_deltas_accumulate():
     rosters = _rosters(1, 1)
     log = GameLog(Sport.BASKETBALL, rosters, (Score("H1", 2), Score("H1", 2)))
     g = apply_events(init_digraph(rosters), log)
-    assert g.counts[g.index_of(GOAL), g.index_of("H1")] == 1 + 4
+    assert g.counts[g.nodes.index(GOAL), g.nodes.index("H1")] == 1 + 4
 
 
 def _fold_arcs(sport, events):
@@ -122,7 +122,7 @@ def _folded_counts(log):
     g = init_digraph(log.teams)
     counts = g.counts.copy()
     for (src, dst), k in _fold_arcs(log.sport, log.events).items():
-        counts[g.index_of(src), g.index_of(dst)] += k
+        counts[g.nodes.index(src), g.nodes.index(dst)] += k
     return counts
 
 
@@ -630,6 +630,27 @@ def test_threads_solving_at_once_get_the_sequential_results():
     for want, got in zip(expected, results):
         for values in got:
             assert all(map(np.array_equal, values, want))
+
+
+def test_threads_analysing_games_at_once_get_the_sequential_reports():
+    # a 351-node game whose power steps run on the arcs and a 25-node one
+    # whose power steps run on the T^t buffer; "both" sets up the direct
+    # solve in the buffer for each
+    logs = [generate_random_game(Sport.BASKETBALL, n, m, seed)
+            for n, m, seed in ((350, 2_000, 1), (24, 2_500, 2))]
+    graphs = [build_digraph(log) for log in logs]
+    assert [len(g.nodes) ** 2 <= len(g.src) for g in graphs] == [False, True]
+    expected = [analyze_game(log, solver="both").report for log in logs]
+    start = threading.Barrier(len(logs), timeout=30)
+
+    def repeat(log, times):
+        start.wait()
+        return [analyze_game(log, solver="both").report for _ in range(times)]
+    with ThreadPoolExecutor(len(logs)) as pool:
+        futures = [pool.submit(repeat, log, times) for log, times in zip(logs, (20, 200))]
+        results = [f.result(timeout=60) for f in futures]
+    for want, got in zip(expected, results):
+        assert all(report == want for report in got)
 
 
 @pytest.mark.parametrize("solver", ["power", "both"])

@@ -103,6 +103,15 @@ def test_json_batch_loads_no_playscript(demo_json_path, tmp_path):
     assert {"playrank.playscript", "playrank.synth"}.isdisjoint(loaded)
 
 
+# The digraph-level functions: importable from their modules, not from the package.
+UNEXPORTED = {
+    "metrics": ("compute_ipm",),
+    "pipeline": ("solve_stationary",),
+    "ranking": ("apply_events", "arc_columns", "check_primitive", "init_digraph",
+                "stationary_direct", "stationary_power", "to_transition"),
+}
+
+
 def test_every_public_name_and_submodule_resolves_on_first_use():
     stems = sorted(p.stem for p in (REPO_ROOT / "src" / "playrank").glob("*.py")
                    if p.stem != "__init__")
@@ -116,3 +125,8 @@ def test_every_public_name_and_submodule_resolves_on_first_use():
         assert any(vars(getattr(playrank, stem)).get(name) is obj for stem in stems)
     with pytest.raises(AttributeError, match="no_such_name"):
         playrank.no_such_name
+    for stem, names in UNEXPORTED.items():
+        for name in names:
+            assert callable(getattr(getattr(playrank, stem), name))
+            with pytest.raises(AttributeError, match=name):
+                getattr(playrank, name)
