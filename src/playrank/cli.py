@@ -1,8 +1,9 @@
 """playrank command line: rank, matrix, validate, batch, compare, synth.
 
-Exit codes: 0 success, 1 validation failure, 2 parse/read failure,
-3 numerical failure, 64 usage error, 70 internal error.  Results go to
-stdout (or --output), diagnostics to stderr.
+Exit codes: 0 success, 1 validation failure, 2 parse/read failure or a
+failed write, 3 numerical failure, 64 usage error, 70 internal error.
+Results go to stdout (or --output), diagnostics to stderr.  ``main`` is the
+in-process API and returns the code; ``run`` is the process entry point.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .metrics import DegenerateGoalRankError, compare_games
 from .model import MAX_PLAYERS, GameLog, ParseError, Sport, validate_game
@@ -45,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse drops an OSError from this write; here it is exit 2
+        if (file := file or sys.stdout) is not None:
+            file.write(self.format_help())
+            file.flush()
 
 
 def _err(message: str) -> None:
@@ -270,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except OSError as exc:  # --help could not be written
+        return _report_exception(None, exc)
 
     for bad, message in (
         (args.command == "compare" and len(args.games) < 2, "need at least two games"),
@@ -286,10 +296,30 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
 
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # a full or closed stdout fails here, as exit 2
+            sys.stdout.flush()
+        return code
     except Exception as exc:
         return _report_exception(None, exc)
 
 
+def run() -> NoReturn:
+    """The ``playrank`` process: ``main()``, then ``os._exit`` with its code.
+
+    That skips the interpreter's teardown of numpy and every loaded module,
+    whose memory the OS reclaims anyway, and every atexit hook.  main() has
+    flushed stdout or reported the write that failed, so a flush that fails
+    here only retries those bytes.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # closed, or failed and reported
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -150,6 +150,8 @@ def parse_gamelog(text: str) -> GameLog:
     Raises SchemaError on the first shape/type problem; run validate_game
     on the result for the semantic invariants.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_gamelog needs a str, not {type(text).__name__}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

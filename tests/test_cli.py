@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -565,6 +567,43 @@ def test_internal_error_exits_70(capsys, tmp_path, crash_on_boom, demo_playscrip
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "rank", "--help")[0] == 0
+
+
+class _FullDevice(io.RawIOBase):
+    """A device that refuses every write with ENOSPC while ``full`` is set."""
+
+    full = True
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(data)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["rank", "{play}"], ["rank", "{play}", "--format", "json"], ["matrix", "{play}"],
+    ["validate", "{play}"], ["compare", "{play}", "{play}"],
+    ["synth", "--sport", "soccer", "--players", "4", "--events", "3"],
+    ["--help"], ["rank", "--help"],
+], ids=lambda argv: " ".join(argv).replace("{play}", "demo"))
+def test_a_failed_write_to_stdout_exits_2(capsys, monkeypatch, demo_playscript_path,
+                                          argv, buffered):
+    # buffered stdout fails at main()'s flush, unbuffered (python -u) at the write
+    device = _FullDevice()
+    stdout = io.TextIOWrapper(io.BufferedWriter(device) if buffered else device,
+                              encoding="utf-8", write_through=not buffered)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main([arg.format(play=demo_playscript_path) for arg in argv])
+    finally:
+        device.full = False  # so that closing the stream can flush what it kept
+        stdout.close()
+    assert (code, capsys.readouterr().err) == (
+        2, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 # --- fuzz guard -------------------------------------------------------------

@@ -69,6 +69,13 @@ def test_invalid_json_reported_at_root():
     assert info.value.path == "$"
 
 
+@pytest.mark.parametrize("text", [json.dumps(MINIMAL).encode(), bytearray(b"{}"), None])
+def test_parse_gamelog_needs_a_str(text):
+    # json.loads reads bytes too; the parser, like parse_game_text, takes text only
+    with pytest.raises(TypeError, match=f"^parse_gamelog needs a str, not {type(text).__name__}$"):
+        parse_gamelog(text)
+
+
 def test_unknown_fields_rejected_with_paths():
     _expect_error(_doc(extra=1), "$.extra")
     doc = _doc()
