@@ -2,13 +2,20 @@
 
 Exit codes: 0 success, 1 validation failure, 2 parse/read failure or a
 failed write, 3 numerical failure, 64 usage error, 70 internal error.
-Results go to stdout (or --output), diagnostics to stderr.  ``main`` is the
-in-process API and returns the code; ``run`` is the process entry point.
+Results go to stdout (or --output), diagnostics to stderr; a diagnostic that
+cannot be written changes no exit code.  ``main`` is the in-process API and
+returns the code; ``run`` is the process entry point.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # no collection while the modules below load; run() freezes them
+    gc.disable()
+
 import argparse
+import errno
 import math
 import os
 import sys
@@ -45,18 +52,32 @@ class _Parser(argparse.ArgumentParser):
     parse failures, so usage problems exit 64 instead."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        # through _err: some argparse versions let a failed stderr write escape
+        _err(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(EXIT_USAGE)
 
     def print_help(self, file=None):
         # argparse drops an OSError from this write; here it is exit 2
-        if (file := file or sys.stdout) is not None:
-            file.write(self.format_help())
-            file.flush()
+        file = file or _stdout()
+        file.write(self.format_help())
+        file.flush()
+
+
+def _stdout():
+    """``sys.stdout``; a process started with stdout closed has None there,
+    and writing to it is a failed write like any other."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
 
 
 def _err(message: str) -> None:
-    print(message, file=sys.stderr)
+    # a diagnostic that cannot be written keeps the exit code of what it reports
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"{message}\n")
+        except OSError:
+            pass
 
 
 def _report_exception(path: Path | None, exc: Exception) -> int:
@@ -103,7 +124,7 @@ def _analyze_file(path: Path, args) -> GameAnalysis:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        _stdout().write(text)
     else:
         _atomic_write(Path(output), text)
 
@@ -143,12 +164,8 @@ def _cmd_matrix(args) -> int:
 def _cmd_validate(args) -> int:
     log = _load_log(Path(args.game), args.input_format)
     violations = validate_game(log)
-    for v in violations:
-        print(v)
-    if violations:
-        return EXIT_VALIDATION
-    print("ok")
-    return EXIT_OK
+    _stdout().write("".join(f"{v}\n" for v in violations) or "ok\n")
+    return EXIT_VALIDATION if violations else EXIT_OK
 
 
 _REPORT_EXT = {"table": "txt", "csv": "csv", "json": "json"}
@@ -311,7 +328,13 @@ def run() -> NoReturn:
     whose memory the OS reclaims anyway, and every atexit hook.  main() has
     flushed stdout or reported the write that failed, so a flush that fails
     here only retries those bytes.
+
+    What the imports made lives until that exit, so it is frozen out of the
+    cyclic collector before main(), and the collector, off while
+    ``python -m`` loaded the modules, is on for the command's own garbage.
     """
+    gc.freeze()
+    gc.enable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
