@@ -154,9 +154,6 @@ def _cmd_rank(args) -> int:
 
 def _cmd_matrix(args) -> int:
     log = _load_log(Path(args.game), args.input_format)
-    violations = validate_game(log)
-    if violations:
-        raise ValidationFailed(violations)
     _emit(render_matrix(build_digraph(log), args.form), args.output)
     return EXIT_OK
 

@@ -6,8 +6,8 @@ from .metrics import IpmReport, TeamAggregate, aggregates, compute_ipm
 from .model import GameLog, Record, Violation, validate_game
 from .ranking import (
     POWER_MAX_ITERS, POWER_TOL, NonConvergenceError, PlayDigraph, RankVector,
-    RankingError, apply_events, check_primitive, init_digraph,
-    stationary_direct, stationary_power, to_transition,
+    RankingError, _play_digraph, check_primitive, stationary_direct,
+    stationary_power, to_transition,
 )
 
 SOLVERS = ("power", "direct", "both")
@@ -19,7 +19,8 @@ class SolverDisagreement(RankingError):
 
 
 class ValidationFailed(Exception):
-    """Raised by analyze_game when the log has violations."""
+    """Raised by build_digraph, and so by analyze_game, when the log has
+    violations."""
 
     def __init__(self, violations: list[Violation]):
         super().__init__(f"{len(violations)} violation(s)")
@@ -53,9 +54,14 @@ def parse_game_text(text: str) -> GameLog:
 
 
 def build_digraph(log: GameLog) -> PlayDigraph:
+    """The game's possession digraph, the only way a log becomes one: raises
+    ValidationFailed with ``validate_game``'s whole list for a broken log."""
     if not isinstance(log, GameLog):
         raise TypeError(f"build_digraph needs a GameLog, not {type(log).__name__}")
-    return apply_events(init_digraph(log.teams), log)
+    violations = validate_game(log)
+    if violations:
+        raise ValidationFailed(violations)
+    return _play_digraph(log)
 
 
 def solve_stationary(
@@ -101,10 +107,7 @@ def analyze_game(
     """
     if not isinstance(log, GameLog):
         raise TypeError(f"analyze_game needs a GameLog, not {type(log).__name__}")
-    violations = validate_game(log)
-    if violations:
-        raise ValidationFailed(violations)
-    digraph = build_digraph(log)
+    digraph = build_digraph(log)  # raises ValidationFailed for a broken log
     transition = to_transition(digraph)
     check_primitive(transition)  # raises CorruptedGraphError without the goal hub
     rank, gap = solve_stationary(transition, solver, tol, max_iters)

@@ -11,7 +11,9 @@ every game graph, so the chain is primitive and its stationary vector unique;
 
 The digraph is its arcs, held as columns: arc i runs src[i] -> dst[i] with
 multiplicity weight[i], the 2n + 1 initial arcs first and then one per event
-that adds one (``arc_columns``).  Building it costs O(n + events), not
+that adds one (``arc_columns``).  Only a valid game has a digraph:
+``pipeline.build_digraph`` runs ``validate_game`` before it builds one, and
+nothing here checks the log again.  Building costs O(n + events), not
 O(k^2) for k = n + 1 nodes.  The dense int64 arc-count matrix ``counts`` is
 built only when asked for; the matrix dumps merge the arcs themselves.
 
@@ -39,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import GOAL, KIND_TABLE, GameLog, NodeRef, Record, Roster
+from .model import GOAL, KIND_TABLE, GameLog, NodeRef, Record
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 1_000
@@ -52,7 +54,7 @@ class RankingError(Exception):
 
 
 class CorruptedGraphError(RankingError):
-    """The graph lacks what init_digraph guarantees (non-negative arc weights,
+    """The graph lacks what build_digraph guarantees (non-negative arc weights,
     out-arcs, the goal hub)."""
 
 
@@ -76,10 +78,6 @@ class PlayDigraph(Record, by_identity=True):
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-
-    @property
-    def n_players(self) -> int:
-        return len(self.nodes) - 1
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -149,35 +147,15 @@ class RankVector(Record, by_identity=True):
         return float(self.values[-1])
 
 
-def init_digraph(rosters: tuple[Roster, Roster]) -> PlayDigraph:
-    """Pre-game digraph: player<->goal arcs both ways plus the goal self-loop."""
-    nodes = (*rosters[0].ids, *rosters[1].ids, GOAL)
-    n = len(nodes) - 1
-    players, goal = np.arange(n), np.full(n + 1, n)
-    # player -> goal, then goal -> everyone, incl. itself
-    return PlayDigraph(nodes, np.concatenate((players, goal)),
-                       np.concatenate((goal[:n], np.arange(n + 1))),
-                       np.ones(2 * n + 1, dtype=np.int64))
-
-
 def arc_columns(log: GameLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, dst, weight) of each event of ``log`` that adds an arc, in
-    event order, as nodes of ``init_digraph(log.teams)``; a dead ball
-    (weight 0) adds none.  Raises ValueError for an event type the sport
-    lacks and KeyError for a player on neither roster (a validated log has
-    neither)."""
+    event order, as nodes of the log's digraph; a dead ball (weight 0) adds
+    none.  Reads a validated log: an event type the sport lacks or a player
+    on neither roster gives arcs that mean nothing."""
     arr = log.arrays
-    table = KIND_TABLE[log.sport]
     kind = arr.kind
-    illegal = np.flatnonzero(table[0].take(kind) == 0)
-    if len(illegal):
-        raise ValueError(f"event {illegal[0]} is not a {log.sport.value} event")
-    n = log.n_players
-    unknown = np.flatnonzero((arr.a >= n) | (arr.b >= n))
-    if len(unknown):
-        raise KeyError(f"event {unknown[0]} names a player that is not a node")
-    src_col, dst_col, by_field, constant = table[4:].take(kind, axis=1)
-    m = len(kind)
+    src_col, dst_col, by_field, constant = KIND_TABLE[log.sport][4:].take(kind, axis=1)
+    n, m = log.n_players, len(kind)
     ends = np.concatenate((arr.a, arr.b, np.full(m, n)))  # role 0, role 1, the goal
     ends[ends < 0] = n  # no such role: the goal
     rows = np.arange(m)
@@ -187,14 +165,18 @@ def arc_columns(log: GameLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src[live], dst[live], weight[live]
 
 
-def apply_events(g: PlayDigraph, log: GameLog) -> PlayDigraph:
-    """``g`` with every event's arcs (``arc_columns``) appended.
-
-    ``g`` has the log's nodes (``init_digraph(log.teams)``); events only add
-    arcs, so the result dominates ``g`` in any event order.
-    """
-    return PlayDigraph(g.nodes, *(np.concatenate(pair)
-                                  for pair in zip((g.src, g.dst, g.weight), arc_columns(log))))
+def _play_digraph(log: GameLog) -> PlayDigraph:
+    """The digraph of a validated ``log`` (``pipeline.build_digraph`` checks
+    first): player -> goal arcs, goal -> everyone incl. itself, then each
+    event's arcs (``arc_columns``).  Events only add arcs, so the goal hub
+    stands in any event order."""
+    n = log.n_players
+    every, goal = np.arange(n + 1), np.full(n + 1, n)
+    src, dst, weight = arc_columns(log)
+    return PlayDigraph((*log.teams[0].ids, *log.teams[1].ids, GOAL),
+                       np.concatenate((every[:n], goal, src)),
+                       np.concatenate((goal[:n], every, dst)),
+                       np.concatenate((np.ones(2 * n + 1, dtype=np.int64), weight)))
 
 
 def to_transition(g: PlayDigraph) -> PlayDigraph:
@@ -206,9 +188,9 @@ def to_transition(g: PlayDigraph) -> PlayDigraph:
 def check_primitive(t: PlayDigraph) -> int:
     """Certify T^2 > 0 from the goal hub, in O(k + arcs), and return 2.
 
-    ``init_digraph`` gives the goal, the last node, an arc to and from every
+    ``build_digraph`` gives the goal, the last node, an arc to and from every
     node, so the walk i -> goal -> j joins any i and j.  Without both fans
-    the graph did not come from ``init_digraph``: CorruptedGraphError, even
+    the graph did not come from ``build_digraph``: CorruptedGraphError, even
     if another node is a hub.  An all-positive T also gets 2, not witness 1.
     """
     goal = len(t.nodes) - 1

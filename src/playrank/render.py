@@ -123,12 +123,11 @@ def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
 def render_comparison(table: CrossGameTable, fmt: str = "table") -> str:
     if not isinstance(table, CrossGameTable):
         raise TypeError(f"render_comparison needs a CrossGameTable, not {type(table).__name__}")
-    header = ["Player", *table.game_ids, "Mean"]
     gids = table.game_ids
     rows = [[r.player, *["" if v is None else f"{v:.2f}" for v in map(r.ipms.__getitem__, gids)],
              f"{r.mean:.2f}"] for r in table.rows]
     if fmt == "table":
-        return "\n".join(map(" | ".join, [header, *rows])) + "\n"
-    if fmt == "csv":
-        return csv_text([[h.lower() for h in header], *rows])
+        return "\n".join(map(" | ".join, [["Player", *gids, "Mean"], *rows])) + "\n"
+    if fmt == "csv":  # the game ids keep their case
+        return csv_text([["player", *gids, "mean"], *rows])
     raise ValueError(f"unknown comparison format {fmt!r} (use one of {COMPARISON_FORMATS})")

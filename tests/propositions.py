@@ -7,7 +7,7 @@ out-degrees; the exact matrix dumps are checked against it.
 
 ``primitivity_witness`` certifies primitivity through any hub and returns
 the smallest all-positive power of T; the production ``check_primitive``
-certifies only the goal hub that ``init_digraph`` builds.
+certifies only the goal hub that ``build_digraph`` builds.
 
 Two bounds follow from the per-game player average of exactly 50 that
 ``metrics.compute_ipm`` pins:
@@ -48,10 +48,10 @@ def primitivity_witness(t: PlayDigraph) -> int:
     return the smallest such exponent, the witness.
 
     A hub -- a node whose row and column are both all-positive, as the goal
-    node is in every graph from ``init_digraph`` -- joins any i and j by the
+    node is in every graph from ``build_digraph`` -- joins any i and j by the
     walk i -> hub -> j, so the smallest all-positive exponent is 1 when T
     itself is positive and 2 otherwise.  A matrix without a hub did not come
-    from ``init_digraph``: CorruptedGraphError.
+    from ``build_digraph``: CorruptedGraphError.
     """
     k = len(t.nodes)
     pattern = np.zeros((k, k), dtype=bool)  # where the arcs run; their weights are positive

@@ -378,6 +378,19 @@ def test_compare_csv(capsys, tmp_path, demo_playscript_path):
     assert any(",," in line for line in out.splitlines()[1:])  # absent cells empty
 
 
+def test_compare_csv_keeps_the_case_of_the_game_ids(capsys, tmp_path, demo_playscript_path):
+    games = [tmp_path / "one" / "Game.play", tmp_path / "two" / "game.play"]
+    for game in games:
+        game.parent.mkdir()
+        game.write_text(demo_playscript_path.read_text(encoding="utf-8"), encoding="utf-8")
+    headers = []
+    for fmt in COMPARISON_FORMATS:
+        code, out, _ = run(capsys, "compare", *map(str, games), "--format", fmt)
+        assert code == 0
+        headers.append(out.splitlines()[0])
+    assert headers == ["Player | Game | game | Mean", "player,Game,game,mean"]
+
+
 # --- synth ----------------------------------------------------------------------
 
 def test_synth_deterministic_and_valid(capsys, tmp_path):

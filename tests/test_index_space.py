@@ -16,12 +16,11 @@ from hypothesis import given, settings
 
 from playrank.gamelog_json import SchemaError, parse_gamelog, render_gamelog
 from playrank.model import (
-    KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, RosterPlayer, Score,
-    Sport, Stoppage, Touch, UnforcedTurnover, validate_game,
+    EVENT_SPECS, KIND_OF, Dispossess, EventArrays, GameLog, Pass, Roster, RosterPlayer, Score,
+    Sport, Stoppage, Touch, UnforcedTurnover, Violation, validate_game,
 )
-from playrank.pipeline import build_digraph
+from playrank.pipeline import ValidationFailed, build_digraph
 from playrank.playscript import parse_playscript
-from playrank.ranking import apply_events, init_digraph
 from playrank.synth import generate_random_game
 
 BASE = {
@@ -187,18 +186,16 @@ def test_a_repeated_roster_id_keeps_its_first_node():
 
 
 @pytest.mark.parametrize("event", [Score("ghost", 2), Pass("ghost", "H1"), Touch("ghost")])
-def test_apply_events_refuses_an_appended_node(event):
+def test_build_digraph_refuses_an_appended_node(event):
     rosters = (Roster("Home", (RosterPlayer("H1"), RosterPlayer("H2"))),
                Roster("Away", (RosterPlayer("A1"), RosterPlayer("A2"))))
     log = GameLog(Sport.BASKETBALL, rosters, (Pass("H1", "H2"), event))
-    g = init_digraph(rosters)
-    n = g.n_players
-    assert log.arrays.ids[n] == "ghost" and log.arrays.a[1] == n == g.nodes.index(g.nodes[-1])
-    before = g.counts.copy()
-    with pytest.raises(KeyError, match="event 1"):
-        apply_events(g, log)
-    assert np.array_equal(g.counts, before)
-    assert g.counts[n].tolist() == [1] * (n + 1) and g.counts[:, n].tolist() == [1] * (n + 1)
+    n = log.n_players  # the goal's node, which the appended id shares
+    assert log.arrays.ids[n] == "ghost" and log.arrays.a[1] == n
+    with pytest.raises(ValidationFailed) as info:
+        build_digraph(log)
+    assert info.value.violations == validate_game(log) == [
+        Violation(1, f"{EVENT_SPECS[KIND_OF[type(event)]].name} references unknown player 'ghost'")]
 
 
 # --- one way in: GameLog(sport, teams, events, metadata) --------------------

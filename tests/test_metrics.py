@@ -212,8 +212,13 @@ def test_aggregates_with_starters():
     _rosters(0, 3),
 ], ids=["one-team-name", "empty-roster"])
 def test_aggregates_needs_two_team_runs(rosters):
-    # validate_game rejects both games; a library caller may skip it
-    report = _report_for(GameLog(Sport.SOCCER, rosters, ()))
+    # validate_game rejects both games, so build_digraph refuses them; a
+    # library caller may still build such a report: here from the stationary
+    # vector of a game without events, players 1 and the goal n + 1 over 2n + 1
+    ids = rosters[0].ids + rosters[1].ids
+    n = len(ids)
+    values = np.array([1.0] * n + [n + 1.0]) / (2 * n + 1)
+    report = compute_ipm(RankVector((*ids, GOAL), values, 0.0, "direct"), rosters)
     with pytest.raises(ValueError, match="1 team runs, not 2"):
         aggregates(report)
 

@@ -13,16 +13,16 @@ from hypothesis import given, settings
 from playrank import ranking
 from playrank.gamelog_json import parse_gamelog, render_gamelog
 from playrank.model import (
-    EVENT_SPECS, GOAL, MAX_PLAYERS, GameLog, Pass, Roster, RosterPlayer, Save,
-    Score, Sport, UncontestedMissDead,
+    EVENT_SPECS, GOAL, MAX_PLAYERS, Dispossess, GameLog, Pass, Roster, RosterPlayer,
+    Save, Score, Sport, UncontestedMissDead, validate_game,
 )
 from playrank.pipeline import (
-    SolverDisagreement, analyze_game, build_digraph, solve_stationary,
+    SolverDisagreement, ValidationFailed, analyze_game, build_digraph, solve_stationary,
 )
 from playrank.ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
-    SingularSystemError, apply_events, arc_columns, check_primitive,
-    init_digraph, stationary_direct, stationary_power, to_transition,
+    SingularSystemError, arc_columns, check_primitive, stationary_direct,
+    stationary_power, to_transition,
 )
 from playrank.render import MATRIX_FORMS, render_matrix
 from playrank.synth import generate_random_game
@@ -39,6 +39,11 @@ def _rosters(n1, n2, prefix=("H", "A")):
         Roster("Home", tuple(RosterPlayer(f"{prefix[0]}{i}") for i in range(1, n1 + 1))),
         Roster("Away", tuple(RosterPlayer(f"{prefix[1]}{i}") for i in range(1, n2 + 1))),
     )
+
+
+def _initial(rosters, sport=Sport.SOCCER):
+    """The digraph of a game without events: the 2n + 1 initial arcs."""
+    return build_digraph(GameLog(sport, rosters, ()))
 
 
 def _digraph(counts, nodes=None):
@@ -61,43 +66,43 @@ games = st.builds(
 
 # --- construction ----------------------------------------------------------
 
-def test_init_digraph_shape_and_arcs():
-    g = init_digraph(_rosters(3, 3))
+def test_initial_digraph_shape_and_arcs():
+    g = _initial(_rosters(3, 3))
     assert g.nodes[-1] is GOAL
-    assert g.n_players == 6
+    assert len(g.nodes) - 1 == 6
     assert list(g.counts[6]) == [1] * 7          # goal row reaches everyone
     assert list(g.counts[:6, 6]) == [1] * 6      # every player reaches goal
     assert g.counts[:6, :6].sum() == 0
 
 
 def test_init_two_player_matrix():
-    g = init_digraph(_rosters(1, 1))
+    g = _initial(_rosters(1, 1))
     assert g.counts.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 1]]
 
 
 def test_initial_goal_row_is_uniform():
-    t = to_transition(init_digraph(_rosters(3, 3)))
+    t = to_transition(_initial(_rosters(3, 3)))
     assert exact_rows(t)[6] == tuple([Fraction(1, 7)] * 7)
     for row in exact_rows(t)[:6]:  # players start with a single out-arc to goal
         assert row == (0, 0, 0, 0, 0, 0, 1)
 
 
-def test_apply_events_reproduces_demo_adjacency():
+def test_build_digraph_reproduces_demo_adjacency():
     g = build_digraph(build_demo_log())
     assert g.counts.tolist() == DEMO_ADJACENCY
 
 
-def test_apply_empty_event_list_is_identity():
-    g0 = init_digraph(_rosters(2, 2))
-    g1 = apply_events(g0, GameLog(Sport.SOCCER, _rosters(2, 2), ()))
-    assert g1.counts.tolist() == g0.counts.tolist()
-    assert g1 is not g0
+def test_an_empty_event_list_adds_only_the_initial_arcs():
+    g = _initial(_rosters(2, 2))
+    n = 4  # player -> goal, goal -> everyone incl. itself
+    assert [col.tolist() for col in (g.src, g.dst, g.weight)] == [
+        [*range(n), *[n] * (n + 1)], [*[n] * n, *range(n + 1)], [1] * (2 * n + 1)]
 
 
 def test_score_deltas_accumulate():
     rosters = _rosters(1, 1)
     log = GameLog(Sport.BASKETBALL, rosters, (Score("H1", 2), Score("H1", 2)))
-    g = apply_events(init_digraph(rosters), log)
+    g = build_digraph(log)
     assert g.counts[g.nodes.index(GOAL), g.nodes.index("H1")] == 1 + 4
 
 
@@ -119,7 +124,7 @@ def _fold_arcs(sport, events):
 
 
 def _folded_counts(log):
-    g = init_digraph(log.teams)
+    g = _initial(log.teams, log.sport)
     counts = g.counts.copy()
     for (src, dst), k in _fold_arcs(log.sport, log.events).items():
         counts[g.nodes.index(src), g.nodes.index(dst)] += k
@@ -142,8 +147,7 @@ def test_arc_columns_drop_dead_balls_and_follow_the_event_order():
     src, dst, weight = arc_columns(log)
     # receiver -> passer for a pass, shooter -> keeper for a save; nodes H1 H2 A1 A2 GOAL
     assert (src.tolist(), dst.tolist(), weight.tolist()) == ([1, 1, 3], [0, 2, 2], [1, 1, 1])
-    g0 = init_digraph(rosters)
-    g = apply_events(g0, log)
+    g0, g = _initial(rosters), build_digraph(log)
     assert [col.tolist() for col in (g.src, g.dst, g.weight)] == [
         np.concatenate(pair).tolist() for pair in zip((g0.src, g0.dst, g0.weight), (src, dst, weight))]
 
@@ -170,12 +174,32 @@ def test_floats_are_the_counts_over_the_row_sums_exactly(log):
     assert dense.tobytes(order="F") == expected.tobytes(order="F")  # bit for bit
 
 
-def test_apply_events_rejects_what_validation_rejects():
+def test_build_digraph_rejects_what_validation_rejects():
     rosters = _rosters(1, 1)
-    with pytest.raises(ValueError, match="event 0 is not a basketball event"):
-        build_digraph(GameLog(Sport.BASKETBALL, rosters, (Save("H1", "A1"),)))
-    with pytest.raises(KeyError):
-        build_digraph(GameLog(Sport.BASKETBALL, rosters, (Score("ghost", 2),)))
+    for event, reason in ((Save("H1", "A1"), "save is not a basketball event"),
+                          (Score("ghost", 2), "score references unknown player 'ghost'")):
+        with pytest.raises(ValidationFailed) as info:
+            build_digraph(GameLog(Sport.BASKETBALL, rosters, (event,)))
+        assert list(map(str, info.value.violations)) == [f"event 0: {reason}"]
+
+
+@pytest.mark.parametrize("away, event", [
+    (("A1", "A2"), Score("H1", -2)),
+    (("A1", "H2"), Pass("H1", "H2")),
+    (("A1", "A2"), Dispossess("H1", "H2")),
+    (("A1", "A2"), Save("H1", "A1")),
+    (("A1", "A2"), Pass("H1", "ghost")),
+], ids=["negative-score", "id-on-both-rosters", "same-team-dispossess", "illegal-kind",
+        "unknown-player"])
+def test_build_digraph_refuses_an_invalid_log_with_the_whole_list(away, event):
+    rosters = (Roster("Home", (RosterPlayer("H1"), RosterPlayer("H2"))),
+               Roster("Away", tuple(map(RosterPlayer, away))))
+    log = GameLog(Sport.BASKETBALL, rosters, (event,))
+    violations = validate_game(log)
+    assert violations
+    with pytest.raises(ValidationFailed) as info:
+        build_digraph(log)
+    assert info.value.violations == violations
 
 
 def test_demo_transition_matches_column_stochastic_reference():
@@ -219,8 +243,7 @@ def test_solvers_take_the_digraph_straight_from_build_digraph(log):
 @settings(max_examples=40, deadline=None)
 @given(log=games)
 def test_row_sums_exactly_one_and_monotone(log):
-    g0 = init_digraph(log.teams)
-    g = apply_events(g0, log)
+    g0, g = _initial(log.teams, log.sport), build_digraph(log)
     assert (g.counts >= g0.counts).all()  # events only add arcs
     t = to_transition(g)
     assert all(sum(row) == 1 for row in exact_rows(t))
@@ -231,7 +254,7 @@ def test_row_sums_exactly_one_and_monotone(log):
 # smallest witness.  check_primitive certifies the goal hub only, and says 2.
 
 def test_initialized_graphs_are_primitive_with_witness_two():
-    t = to_transition(init_digraph(_rosters(5, 4)))
+    t = to_transition(_initial(_rosters(5, 4)))
     assert primitivity_witness(t) == 2
     assert check_primitive(t) == 2
 
@@ -290,7 +313,7 @@ def count_matrices(draw, max_k=6, hub=None):
 def test_check_primitive_matches_brute_force_witness(counts):
     if _has_hub(counts):
         assert primitivity_witness(_pattern_matrix(counts)) == _smallest_witness(counts)
-    else:  # not a graph init_digraph can build, primitive or not
+    else:  # not a graph build_digraph can build, primitive or not
         with pytest.raises(CorruptedGraphError):
             primitivity_witness(_pattern_matrix(counts))
 
@@ -349,7 +372,7 @@ def test_an_all_positive_chain_certifies_two_not_one():
 def test_two_player_no_event_chain():
     # Players' only out-arc goes to goal; solve the 3-state chain by hand:
     # v = (1/5, 1/5, 3/5).
-    t = to_transition(init_digraph(_rosters(1, 1)))
+    t = to_transition(_initial(_rosters(1, 1)))
     for solve in (stationary_power, stationary_direct):
         v = solve(t)
         assert np.allclose(v.values, [0.2, 0.2, 0.6], atol=1e-12)
@@ -375,7 +398,7 @@ def test_demo_stationary_matches_exact_solution():
 
 
 def test_uniform_ranks_on_initial_graph():
-    t = to_transition(init_digraph(_rosters(4, 4)))
+    t = to_transition(_initial(_rosters(4, 4)))
     v = stationary_power(t)
     assert np.allclose(v.player_ranks, v.player_ranks[0])
 
@@ -397,7 +420,7 @@ def test_power_nonconvergence_raises():
 
 
 def test_power_rejects_bad_arguments():
-    t = to_transition(init_digraph(_rosters(1, 1)))
+    t = to_transition(_initial(_rosters(1, 1)))
     with pytest.raises(ValueError):
         stationary_power(t, tol=0.0)
     with pytest.raises(ValueError):
@@ -455,7 +478,7 @@ def test_rank_is_permutation_equivariant(log, seed):
 
 
 def test_solve_stationary_rejects_an_unknown_solver():
-    t = to_transition(init_digraph(_rosters(1, 1)))
+    t = to_transition(_initial(_rosters(1, 1)))
     with pytest.raises(ValueError, match="unknown solver 'bogus'"):
         solve_stationary(t, "bogus")
 
@@ -670,7 +693,7 @@ def test_near_periodic_game_is_solved_directly():
     passes = {("a0", "a1"): 2000, ("a1", "a0"): 2000, ("a2", "a0"): 700, ("a0", "a2"): 300}
     log = GameLog(Sport.BASKETBALL, rosters, tuple(
         Pass(src, dst) for (src, dst), times in passes.items() for _ in range(times)))
-    counts = np.zeros((5, 5), dtype=np.int64)  # init_digraph by hand
+    counts = np.zeros((5, 5), dtype=np.int64)  # the initial arcs by hand
     counts[:4, 4] = 1
     counts[4, :] = 1
     for (passer, receiver), times in passes.items():  # receiver -> passer arcs

@@ -15,7 +15,7 @@ from playrank.metrics import (
 from playrank.model import GOAL, GameLog, GameMetadata, Roster, RosterPlayer, Sport
 from playrank.pipeline import analyze_game, build_digraph
 from playrank.ranking import (
-    CorruptedGraphError, PlayDigraph, init_digraph, stationary_direct, to_transition,
+    CorruptedGraphError, PlayDigraph, stationary_direct, to_transition,
 )
 from playrank.render import (
     COMPARISON_FORMATS, REPORT_FORMATS, render_comparison, render_matrix, render_report,
@@ -241,7 +241,7 @@ def test_row_stochastic_goal_row_uniform():
         Roster("X", tuple(RosterPlayer(f"x{i}") for i in range(3))),
         Roster("Y", tuple(RosterPlayer(f"y{i}") for i in range(3))),
     )
-    out = render_matrix(init_digraph(rosters), "row-stochastic")
+    out = render_matrix(build_digraph(GameLog(Sport.SOCCER, rosters, ())), "row-stochastic")
     assert out.splitlines()[-1].split() == ["1/7"] * 7
 
 

@@ -1,6 +1,6 @@
 """The arc each event adds, read from the shipped digraph build: the
-counts of ``build_digraph`` on a one-event log minus those of
-``init_digraph``."""
+counts of ``build_digraph`` on a one-event log minus those of the same log
+without the event."""
 
 from typing import NamedTuple
 
@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from playrank.model import (
-    EVENT_SPECS, GOAL, ContestedMiss, Dispossess, FoulDead, FoulLeadingToGoal,
+    EVENT_SPECS, GOAL, KIND_OF, OPPONENTS, ContestedMiss, Dispossess, FoulDead, FoulLeadingToGoal,
     FoulNoFreeThrows, FoulWithFreeThrows, GameLog, Icing, Intercept, NodeRef,
     Offside, Pass, PenaltyDrawnNoPPG, PenaltyDrawnPPG, Roster, RosterPlayer,
     Save, Score, Sport, Stoppage, Touch, UncontestedMissDead,
     UncontestedMissRebounded, UnforcedTurnover,
 )
-from playrank.pipeline import build_digraph
-from playrank.ranking import init_digraph
+from playrank.pipeline import ValidationFailed, build_digraph
 
 
 class Arc(NamedTuple):
@@ -27,14 +26,18 @@ class Arc(NamedTuple):
 def arcs_for_event(sport, event) -> tuple[Arc, ...]:
     """The arcs that ``build_digraph`` adds for ``event`` alone in ``sport``.
 
-    Every player the event names sits on the first team: the build does not
-    validate, so the pair rule does not matter here.
+    Each player the event names sits on a team its pair rule allows: the
+    second role of an event between opponents on the second team, every
+    other on the first.
     """
-    ids = dict.fromkeys(v for v in event._values() if isinstance(v, str))
-    teams = (Roster("One", [RosterPlayer(pid) for pid in ids] or [RosterPlayer("x")]),
-             Roster("Two", [RosterPlayer("y")]))
+    spec = EVENT_SPECS[KIND_OF[type(event)]]
+    ids = [getattr(event, role) for role in spec.roles]
+    split = 1 if spec.pair == OPPONENTS else len(ids)
+    teams = tuple(Roster(name, [RosterPlayer(pid) for pid in dict.fromkeys(side)]
+                         or [RosterPlayer(filler)])
+                  for name, side, filler in (("One", ids[:split], "x"), ("Two", ids[split:], "y")))
     g = build_digraph(GameLog(sport, teams, (event,)))
-    added = g.counts - init_digraph(teams).counts
+    added = g.counts - build_digraph(GameLog(sport, teams, ())).counts
     assert (added >= 0).all()  # rules only ever add arcs
     return tuple(Arc(g.nodes[i], g.nodes[j], int(added[i, j]))
                  for i, j in zip(*np.nonzero(added)))
@@ -77,10 +80,12 @@ def test_total_over_every_legal_event(sport):
 
 
 def test_sport_mismatch_rejected():
-    with pytest.raises(ValueError, match="not a basketball event"):
+    with pytest.raises(ValidationFailed) as info:
         arcs_for_event(Sport.BASKETBALL, Save(shooter="i", keeper="j"))
-    with pytest.raises(ValueError, match="not a soccer event"):
+    assert list(map(str, info.value.violations)) == ["event 0: save is not a basketball event"]
+    with pytest.raises(ValidationFailed) as info:
         arcs_for_event(Sport.SOCCER, Icing(icer="i", toucher="j"))
+    assert list(map(str, info.value.violations)) == ["event 0: icing is not a soccer event"]
 
 
 # --- shared rules ---------------------------------------------------------

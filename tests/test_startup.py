@@ -107,8 +107,8 @@ def test_json_batch_loads_no_playscript(demo_json_path, tmp_path):
 UNEXPORTED = {
     "metrics": ("compute_ipm",),
     "pipeline": ("solve_stationary",),
-    "ranking": ("apply_events", "arc_columns", "check_primitive", "init_digraph",
-                "stationary_direct", "stationary_power", "to_transition"),
+    "ranking": ("arc_columns", "check_primitive", "stationary_direct", "stationary_power",
+                "to_transition"),
 }
 
 
