@@ -365,10 +365,12 @@ class EventArrays(NamedTuple):
 # Rosters and game logs
 # ---------------------------------------------------------------------------
 
-# The most players a game may have, as the direct solve is dense and cubic: at
-# 2,000 players and 10,000 events `rank --solver both` peaks at 101 MB RSS in
-# 0.5 s and keeps its thread's 32 MB T^t buffer, `--solver power` (k^2 > arcs,
-# so nothing k x k) at 35 MB in 0.2 s (BLAS on one thread).
+# The most players a game may have, as the direct solve's fallback, the LU, is
+# dense and cubic: at 2,000 players and 10,000 events both solvers work on the
+# arcs (k^2 > arcs, k^3 > HUB_CROSSOVER arcs), so nothing is k x k and `rank
+# --solver both` peaks at 35 MB RSS in 0.14-0.17 s (the hub solve 2-3 ms), as
+# `--solver power` does; the LU made it 101 MB and 0.3 s, and still would for
+# a refused hub vector (BLAS on one thread).
 MAX_PLAYERS = 2_000
 
 

@@ -21,15 +21,20 @@ The digraph is its own transition matrix, T[i][j] = arcs(i->j) / outdeg(i),
 row-stochastic, with the out-degrees (``row_sums``) summed from the arcs, so
 each entry is an exact ratio of integers (``render.render_matrix`` writes it
 as one).  The stationary vector v solves T^t v = v with sum(v) = 1 and is
-computed two independent ways: power iteration on T^t and a dense linear
-solve (LU with partial pivoting).  Each serves as an oracle for the other.
-Both read a dense float64 T^t from one builder (``_dense_transpose``), which
-scatters the arcs into a buffer kept per thread and grown to the largest k^2
-it has held: 8 k^2 bytes survive a solve, 32 MB at the 2,000-player cap.
-The solve always takes it.  Power iteration steps on it (one BLAS product,
+computed two independent ways: power iteration on T^t and a direct linear
+solve.  Each serves as an oracle for the other.  Both may read a dense
+float64 T^t from one builder (``_dense_transpose``), which scatters the arcs
+into a buffer kept per thread and grown to the largest k^2 it has held:
+8 k^2 bytes survive a solve.  Power iteration steps on it (one BLAS product,
 O(k^2)) when k^2 <= arcs, so the matrix holds no more entries than the arc
 list; otherwise each step is one weighted bincount over the arcs, O(arcs),
-and nothing k x k is built.
+and nothing k x k is built.  The direct solve is an LU with partial pivoting
+on it, O(k^3), unless k^3 > HUB_CROSSOVER arcs, where the hub solve is the
+faster (a measured crossover): it censors the chain on the goal hub and
+solves the players' system by BiCGSTAB, O(arcs) per step, building nothing
+k x k (``_hub_solve``).  That vector is kept only when its residual is
+within the rounding allowance the LU's vector meets; otherwise, or without
+the goal hub, the LU runs.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ from .model import GOAL, KIND_TABLE, GameLog, NodeRef, Record
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 1_000
+HUB_MAX_ITERS = 100  # BiCGSTAB steps of the hub solve before the LU takes over
+# The direct solve tries the hub where k^3 > HUB_CROSSOVER arcs, as the LU
+# costs O(k^3) and the hub solve a few dozen products over the arcs.  Timed
+# against each other for k from 8 to 1,024 and arcs from about 2k to k^2 (one
+# BLAS thread), 4,096 lost the least time of the thresholds from 1,000 to
+# 10,000; the 18 of 296 games it sends the slower way lost at most 1 ms.
+HUB_CROSSOVER = 4_096
+_ROUNDING = 2.0 ** -53  # unit roundoff of float64
 
 _workspace = threading.local()  # ``buf``: this thread's float64 T^t storage
 
@@ -247,16 +260,102 @@ def stationary_power(
     )
 
 
+def _hub_solve(t: PlayDigraph) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stationary vector v through the goal hub (the last node), with
+    its residual T^t v - v, in O(arcs) per step and nothing k x k; or None.
+
+    With Q the chain among the players and g the goal, pi_P (I - Q) =
+    pi_g T[g, P] (Meyer 1989), so x = pi_P / pi_g solves (I - Q)^t x =
+    T[g, P]^t and v = [x, 1] / (sum(x) + 1).  When every player has an arc
+    to the goal, Q is strictly substochastic and I - Q a nonsingular
+    M-matrix.  BiCGSTAB (van der Vorst 1992) solves it, one bincount over
+    the player-to-player arcs per product.  The arcs of each (src, dst) pair
+    are merged first, their counts summed exactly as in the LU's T^t, so a
+    product adds one term per pair.  Its own residual test only ends a run:
+    v is returned only if its L1 residual, summed over the merged arcs, is
+    within the rounding allowance 2 (k + 2) 2^-53 that the dense solve's
+    vector meets.  A breakdown restarts from the true residual, and so does
+    the first refused vector, since the recurred residual may have drifted
+    from it; a vector with a negative entry is refused too.  None without
+    the arcs to the goal, for a residual that is not finite, at a second
+    refusal or after HUB_MAX_ITERS steps.
+    """
+    k = len(t.nodes)
+    g = k - 1
+    pairs, which = np.unique(t.src * k + t.dst, return_inverse=True)
+    src, dst = np.divmod(pairs, k)
+    weight = np.bincount(which, t.weight)  # each pair's counts, summed exactly
+    into = dst == g
+    if not np.bincount(src[into], weight[into], k)[:g].all():
+        return None
+    p = weight / t.row_sums[src]
+    among, out = (src != g) & ~into, (src == g) & ~into
+    s, d, q = src[among], dst[among], p[among]
+    b = np.bincount(dst[out], p[out], g)
+
+    def a(y):  # (I - Q)^t y
+        return y - np.bincount(d, q * y[s], g)
+    allowance = 2 * (k + 2) * _ROUNDING
+    floor = _ROUNDING * math.sqrt(b @ b)
+    x, r, restart, refused = np.zeros(g), b.copy(), True, False
+    for _ in range(HUB_MAX_ITERS):
+        norm = math.sqrt(r @ r)
+        if not math.isfinite(norm):
+            return None
+        if norm <= floor:  # converged by its own test: certify
+            if x.min() >= 0.0:
+                v = np.append(x, 1.0)
+                v /= v.sum()
+                residual = np.bincount(dst, p * v[src], k) - v
+                if np.abs(residual).sum() <= allowance:
+                    return v, residual
+            if refused:
+                return None
+            r, restart, refused = b - a(x), True, True
+        if restart:  # a fresh shadow residual and search directions
+            r0, u, w = r.copy(), 0.0, 0.0
+            rho = alpha = omega = 1.0
+            restart = False
+        rho_next = float(r0 @ r)
+        try:
+            u = r + (rho_next / rho) * (alpha / omega) * (u - omega * w)
+            w = a(u)
+            alpha = rho_next / float(r0 @ w)
+            r -= alpha * w  # BiCGSTAB's s
+            x += alpha * u
+            if math.sqrt(r @ r) <= floor:
+                continue
+            z = a(r)
+            omega = float(z @ r) / float(z @ z)
+        except ZeroDivisionError:  # a breakdown
+            r, restart = b - a(x), True
+            continue
+        x += omega * r
+        r -= omega * z
+        rho = rho_next
+    return None
+
+
 def stationary_direct(t: PlayDigraph) -> RankVector:
     """Stationary vector from the linear system (T^t - I) v = 0, sum(v) = 1.
 
-    The redundant last equation is replaced by the normalization row and the
+    Where k^3 > HUB_CROSSOVER arcs it solves the smaller system the goal
+    hub gives (``_hub_solve``), building nothing k x k, and keeps that vector
+    only if its residual is within the rounding allowance: its L1 error is
+    then at most the allowance times max_i (out-degree i / arcs(i -> goal))
+    (Seneta 1981), the same bound the LU's vector meets.  Otherwise (denser
+    graphs, no arc from some node into the last one, or no vector accepted)
+    the redundant last equation is replaced by the normalization row and the
     system solved densely by LU with partial pivoting, set up in this
     thread's T^t buffer (``_dense_transpose``).  Independent of the power
     route, so the two can cross-check each other.  The residual
     max |T^t v - v| is summed over the arcs.
     """
     k = len(t.nodes)
+    hub = _hub_solve(t) if k ** 3 > HUB_CROSSOVER * len(t.src) else None
+    if hub is not None:
+        v, r = hub
+        return RankVector(t.nodes, v, float(np.abs(r).max()), "direct")
     a = t._dense_transpose()  # F-ordered as LAPACK takes it; no k x k identity
     a[np.diag_indices(k)] -= 1.0
     a[-1, :] = 1.0

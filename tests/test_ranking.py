@@ -21,7 +21,7 @@ from playrank.pipeline import (
 )
 from playrank.ranking import (
     CorruptedGraphError, NonConvergenceError, PlayDigraph, RankVector,
-    SingularSystemError, arc_columns, check_primitive, stationary_direct,
+    SingularSystemError, _hub_solve, arc_columns, check_primitive, stationary_direct,
     stationary_power, to_transition,
 )
 from playrank.render import MATRIX_FORMS, render_matrix
@@ -31,7 +31,7 @@ from golden import (
     DEMO_ADJACENCY, DEMO_COLUMN_STOCHASTIC, DEMO_IPM_EXACT, DEMO_STATIONARY,
     build_demo_log,
 )
-from propositions import exact_rows, primitivity_witness
+from propositions import exact_rows, primitivity_witness, refined_stationary
 
 
 def _rosters(n1, n2, prefix=("H", "A")):
@@ -599,6 +599,148 @@ def test_power_on_arcs_never_builds_the_buffer():
     assert _fresh_thread(solve) is None
 
 
+def test_the_hub_solve_builds_no_buffer():
+    t = to_transition(build_digraph(generate_random_game(Sport.SOCCER, 350, 2_000, 7)))
+    assert len(t.nodes) ** 3 > ranking.HUB_CROSSOVER * len(t.src)
+
+    def solve():
+        stationary_direct(t)
+        return getattr(ranking._workspace, "buf", None)
+    assert _fresh_thread(solve) is None
+
+
+def _with_lu(t):
+    """``stationary_direct(t)`` in a fresh thread, and whether it built the
+    T^t buffer, so took the LU."""
+    def solve():
+        return stationary_direct(t), getattr(ranking._workspace, "buf", None) is not None
+    return _fresh_thread(solve)
+
+
+def test_below_the_crossover_the_direct_solve_is_the_lu():
+    t = to_transition(build_digraph(build_demo_log()))  # 7 nodes, 47 arcs
+    assert len(t.nodes) ** 3 <= ranking.HUB_CROSSOVER * len(t.src)
+    rank, lu = _with_lu(t)
+    assert lu
+    assert np.abs(rank.values - [float(x) for x in DEMO_STATIONARY]).max() <= 1e-15
+
+
+def _hub_allowance(k):
+    return 2 * (k + 2) * 2.0 ** -53
+
+
+@st.composite
+def last_hub_count_matrices(draw, max_k=8):
+    """Arc counts whose last node is a hub (its row and column positive),
+    with some player-to-player count 0."""
+    counts = draw(count_matrices(max_k=max_k, hub=False).filter(lambda c: len(c) >= 2))
+    counts[-1, :] = np.maximum(counts[-1, :], 1)
+    counts[:, -1] = np.maximum(counts[:, -1], 1)
+    players = st.integers(min_value=0, max_value=len(counts) - 2)
+    counts[draw(players), draw(players)] = 0
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=last_hub_count_matrices())
+def test_the_hub_solve_matches_the_gth_oracle(counts):
+    v, residual = _hub_solve(_pattern_matrix(counts))
+    exact = np.array([float(x) for x in _gth_stationary(counts)])
+    assert np.abs(v - exact).max() <= 1e-12
+    assert np.abs(residual).sum() <= _hub_allowance(len(counts))
+
+
+# Chains on which BiCGSTAB's recurred residual meets its own stop while the
+# vector's true residual is 8 to 15 times the allowance: the certificate
+# refuses that vector and the restart from the true residual gives one
+# within it.  Found among 30,000 random hub chains of 2-8 nodes.
+DRIFTING_CHAINS = [
+    [[0, 6, 1], [4, 15, 1], [12, 17, 12]],
+    [[37, 72, 29, 11], [0, 22, 125, 14], [107, 68, 72, 12], [7, 47, 128, 90]],
+    [[458667, 554828, 179520, 377757, 63694, 69853],
+     [317482, 308000, 441371, 441334, 458413, 146764],
+     [186721, 498121, 172486, 0, 221042, 80026], [67289, 490646, 456412, 469929, 232912, 53634],
+     [260566, 105902, 282750, 417435, 224675, 44650], [336485, 38787, 35558, 63763, 526542, 66955]],
+]
+
+
+@pytest.mark.parametrize("counts", DRIFTING_CHAINS, ids=["k3", "k4", "k6"])
+def test_the_hub_vector_meets_the_rounding_allowance(counts):
+    v, residual = _hub_solve(_digraph(counts))
+    assert np.abs(residual).sum() <= _hub_allowance(len(counts))
+    assert np.abs(v - [float(x) for x in _gth_stationary(np.array(counts))]).max() <= 1e-15
+
+
+def _passing_pair(players, passes):
+    """Each player has an arc to and from the goal, and players 0 and 1
+    pass ``passes`` times each way, one arc per pass; with the chain's
+    stationary vector as Fractions.  Exactly, x = pi / pi_goal has x_j =
+    T[goal, j] = 1/k for the players only the goal enters, and x_0 = x_1 =
+    (passes + 1)/k, since each of the pair gets 1/k from the goal and
+    passes/(passes + 1) of the other's share."""
+    k = players + 1
+    src = np.concatenate((np.arange(players), np.full(k, players), np.repeat([0, 1], passes)))
+    dst = np.concatenate((np.full(players, players), np.arange(k), np.repeat([1, 0], passes)))
+    t = PlayDigraph(tuple(f"n{i}" for i in range(k)), src, dst, np.ones(len(src), np.int64))
+    x = [Fraction(passes + 1, k)] * 2 + [Fraction(1, k)] * (k - 3) + [Fraction(1)]
+    return t, [xi / sum(x) for xi in x]
+
+
+@pytest.mark.parametrize("players, passes", [(399, 5_000), (459, 100_000)])
+def test_the_hub_solve_sums_repeated_arcs_exactly(players, passes):
+    # The pair leaves for the goal once in passes + 1 steps, so products
+    # that added the passes one at a time in float64 would move the vector
+    # by up to 1e-11; merged into one count per pair, as the LU's T^t has
+    # them, the hub vector is as close to the exact one as the LU's.
+    t, exact = _passing_pair(players, passes)
+    v, _ = _hub_solve(t)
+    assert np.abs(v - [float(x) for x in exact]).max() <= 2e-14
+
+
+def test_a_nearly_decomposable_chain_refuses_the_hub_vector():
+    # 399 players in 5 teams that pass 100 to 1,000,000 times within a team
+    # and once across or to the goal: BiCGSTAB does not reach its own stop
+    # in HUB_MAX_ITERS steps, so the LU gives the vector.
+    k, players = 400, 399
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, players, (2, 4_000))
+    weight = np.where(a % 5 == b % 5, 10 ** rng.integers(2, 7, 4_000), 1)
+    src = np.concatenate((np.arange(players), np.full(k, players), a))
+    dst = np.concatenate((np.full(players, players), np.arange(k), b))
+    t = PlayDigraph(tuple(f"n{i}" for i in range(k)), src, dst,
+                    np.concatenate((np.ones(2 * k - 1, np.int64), weight)))
+    assert k ** 3 > ranking.HUB_CROSSOVER * len(t.src)
+    assert _hub_solve(t) is None
+    rank, lu = _with_lu(t)
+    assert lu
+    assert np.abs(rank.values - refined_stationary(t).astype(float)).max() <= 1e-12
+
+
+def test_a_player_without_an_arc_to_the_goal_takes_the_lu():
+    # 400 nodes: the goal passes to everyone, every player but n0 passes to
+    # the goal, and n0 passes to n1 instead, so x = pi / pi_goal is 1/k for
+    # each player but n1, which gets 2/k.
+    k, players = 400, 399
+    src = np.concatenate(([0], np.arange(1, players), np.full(k, players)))
+    dst = np.concatenate(([1], np.full(players - 1, players), np.arange(k)))
+    t = PlayDigraph(tuple(f"n{i}" for i in range(k)), src, dst, np.ones(len(src), np.int64))
+    assert k ** 3 > ranking.HUB_CROSSOVER * len(t.src)
+    assert _hub_solve(t) is None
+    rank, lu = _with_lu(t)
+    assert lu
+    x = np.array([1, 2] + [1] * (k - 3) + [k]) / (2 * k)
+    assert np.abs(rank.values - x).max() <= 1e-15
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="numpy's long double is float64 here")
+def test_the_refined_reference_is_the_exact_vector():
+    # within 1e-16 where the float64 LU's vector is about 1.4e-14 off
+    t, exact = _passing_pair(459, 100_000)
+    exact = np.array([np.longdouble(x.numerator) / x.denominator for x in exact])
+    assert np.abs(refined_stationary(t) - exact).max() <= 1e-16
+
+
 def test_the_buffer_is_one_float64_matrix_kept_and_grown():
     small, large = (to_transition(build_digraph(generate_random_game(Sport.HOCKEY, n, m, 3)))
                     for n, m in ((30, 2_000), (60, 50)))
@@ -656,9 +798,8 @@ def test_threads_solving_at_once_get_the_sequential_results():
 
 
 def test_threads_analysing_games_at_once_get_the_sequential_reports():
-    # a 351-node game whose power steps run on the arcs and a 25-node one
-    # whose power steps run on the T^t buffer; "both" sets up the direct
-    # solve in the buffer for each
+    # a 351-node game whose power steps and hub solve run on the arcs and a
+    # 25-node one whose power steps and LU run on the T^t buffer
     logs = [generate_random_game(Sport.BASKETBALL, n, m, seed)
             for n, m, seed in ((350, 2_000, 1), (24, 2_500, 2))]
     graphs = [build_digraph(log) for log in logs]
@@ -715,23 +856,24 @@ def test_near_periodic_game_is_solved_directly():
 @pytest.mark.parametrize("solver, game, bytes_per_entry", [
     pytest.param(solver, (Sport.SOCCER, 350, 2_000, 7), 12, id=solver)
     for solver in ("power", "direct", "both")
-] + [pytest.param("power", (Sport.BASKETBALL, MAX_PLAYERS, 10_000, 1), 1, id="power-at-cap")])
+] + [pytest.param(solver, (Sport.BASKETBALL, MAX_PLAYERS, 10_000, 1), 1, id=f"{solver}-at-cap")
+       for solver in ("power", "direct", "both")])
 def test_analysis_holds_no_dense_matrix(solver, game, bytes_per_entry):
     # At k = 351 nodes one k x k float64 matrix is 8 k^2 bytes (986 kB).  The
-    # direct solve builds T^t in its thread's buffer, which the warm-up call
-    # sized and the traced call reuses, so only LAPACK's copy comes and goes
-    # (a peak of at most 1.5 matrices); the analysis keeps the arc columns,
-    # which grow with the events, not with k^2.  These power solves have
-    # k^2 > arcs, so they step on the arcs and build nothing k x k: at the
-    # player cap the peak stays below k^2 bytes, so not even a boolean pattern
-    # fits.
+    # traced analysis runs in a new thread, so an LU there would build its
+    # T^t buffer inside the trace (LAPACK's copy of it is not traced); the
+    # analysis keeps the arc columns, which grow with the events, not with
+    # k^2.  All these games have k^2 > arcs, so power steps on the arcs and
+    # the direct solve goes through the goal hub, and neither builds anything
+    # k x k: at the player cap the peak stays below k^2 bytes, so not even a
+    # boolean pattern fits.
     log = generate_random_game(*game)
     k = log.n_players + 1
     analyze_game(log, solver)  # warm caches and lazy imports
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        analysis = analyze_game(log, solver)
+        analysis = _fresh_thread(lambda: analyze_game(log, solver))
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -16,16 +16,21 @@ from conftest import REPO_ROOT
 # and decimal, which no module of playrank imports.
 COLD_MODULES = ("numpy.ma", "numpy.random", "scipy", "orjson", "csv", "fractions", "decimal")
 
+# Each game ranked by power alone and by both solvers; after the first,
+# whether this thread holds no T^t buffer (its direct solve took the hub).
 FIRST_GAMES = """
 import sys
 import playrank
 for path in sys.argv[1:]:
     with open(path, encoding="utf-8") as fh:
         log = playrank.parse_game_text(fh.read())
-    analysis = playrank.analyze_game(log)
-    for fmt in ("table", "json"):
-        playrank.render_report(analysis.report, analysis.teams, fmt,
-                               solver_gap=analysis.solver_gap)
+    for solver in ("power", "both"):
+        analysis = playrank.analyze_game(log, solver)
+        for fmt in ("table", "json"):
+            playrank.render_report(analysis.report, analysis.teams, fmt,
+                                   solver_gap=analysis.solver_gap)
+    if path == sys.argv[1]:
+        print(getattr(playrank.ranking._workspace, "buf", None) is None)
 print(" ".join(sorted(sys.modules)))
 """
 
@@ -75,8 +80,16 @@ def _loaded(script, *args):
     return _run(script, *args)[-1].split()
 
 
-def test_first_games_stay_off_cold_imports(demo_playscript_path, demo_json_path):
-    loaded = _loaded(FIRST_GAMES, demo_playscript_path, demo_json_path)
+def test_first_games_stay_off_cold_imports(demo_playscript_path, demo_json_path, tmp_path):
+    # a 350-player game, first: "both" takes the hub solve; the demos then
+    # take the LU
+    wide = tmp_path / "wide.json"
+    wide.write_text(playrank.render_gamelog(
+        playrank.generate_random_game(playrank.Sport.BASKETBALL, 350, 2_000, 1)),
+        encoding="utf-8")
+    no_buffer, modules = _run(FIRST_GAMES, wide, demo_playscript_path, demo_json_path)[-2:]
+    assert no_buffer == "True"
+    loaded = modules.split()
     assert "playrank.pipeline" in loaded
     cold = tuple(m + "." for m in COLD_MODULES)
     assert [m for m in loaded if m in COLD_MODULES or m.startswith(cold)] == []
