@@ -9,32 +9,31 @@ two nodes; events only add arcs.  T^2 is therefore entrywise positive for
 every game graph, so the chain is primitive and its stationary vector unique;
 ``check_primitive`` certifies this from the goal's arcs alone, in O(k + arcs).
 
-The digraph is its arcs, held as columns: arc i runs src[i] -> dst[i] with
-multiplicity weight[i], the 2n + 1 initial arcs first and then one per event
-that adds one (``arc_columns``).  Only a valid game has a digraph:
-``pipeline.build_digraph`` runs ``validate_game`` before it builds one, and
-nothing here checks the log again.  Building costs O(n + events), not
-O(k^2) for k = n + 1 nodes.  The dense int64 arc-count matrix ``counts`` is
-built only when asked for; the matrix dumps merge the arcs themselves.
+The digraph is its arcs, held as columns, one per (src, dst) pair in key
+order (``PlayDigraph`` merges them): arc i runs src[i] -> dst[i] with
+weight[i], the events that draw it, so no sum below depends on event order.
+Only a valid game has a digraph: ``pipeline.build_digraph`` runs
+``validate_game`` before it builds one, and nothing here checks the log
+again.  Building costs O(n + events log events), not O(k^2) for k = n + 1
+nodes.  The dense int64 arc-count matrix ``counts`` is built on request.
 
-The digraph is its own transition matrix, T[i][j] = arcs(i->j) / outdeg(i),
+The digraph is its own transition matrix, T[i][j] = weight(i->j) / outdeg(i),
 row-stochastic, with the out-degrees (``row_sums``) summed from the arcs, so
 each entry is an exact ratio of integers (``render.render_matrix`` writes it
 as one).  The stationary vector v solves T^t v = v with sum(v) = 1 and is
 computed two independent ways: power iteration on T^t and a direct linear
 solve.  Each serves as an oracle for the other.  Both may read a dense
-float64 T^t from one builder (``_dense_transpose``), which scatters the arcs
+float64 T^t from one builder (``_dense_transpose``), which writes the arcs
 into a buffer kept per thread and grown to the largest k^2 it has held:
 8 k^2 bytes survive a solve.  Power iteration steps on it (one BLAS product,
-O(k^2)) when k^2 <= arcs, so the matrix holds no more entries than the arc
-list; otherwise each step is one weighted bincount over the arcs, O(arcs),
-and nothing k x k is built.  The direct solve is an LU with partial pivoting
-on it, O(k^3), unless k^3 > HUB_CROSSOVER arcs, where the hub solve is the
-faster (a measured crossover): it censors the chain on the goal hub and
-solves the players' system by BiCGSTAB, O(arcs) per step, building nothing
-k x k (``_hub_solve``).  That vector is kept only when its residual is
-within the rounding allowance the LU's vector meets; otherwise, or without
-the goal hub, the LU runs.
+O(k^2)) when T is at least half full (k^2 <= 2 arcs); otherwise each step
+is one weighted bincount over the arcs, O(arcs), and nothing k x k is built.
+The direct solve is an LU with partial pivoting on it, O(k^3), unless k^3 >
+HUB_CROSSOVER arcs, where the hub solve is the faster (a measured crossover):
+it censors the chain on the goal hub and solves the players' system by
+BiCGSTAB, O(arcs) per step, building nothing k x k (``_hub_solve``).  That
+vector is kept only when its residual is within the rounding allowance the
+LU's vector meets; otherwise, or without the goal hub, the LU runs.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ from .model import GOAL, KIND_TABLE, GameLog, NodeRef, Record
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 1_000
 HUB_MAX_ITERS = 100  # BiCGSTAB steps of the hub solve before the LU takes over
-# The direct solve tries the hub where k^3 > HUB_CROSSOVER arcs, as the LU
-# costs O(k^3) and the hub solve a few dozen products over the arcs.  Timed
-# against each other for k from 8 to 1,024 and arcs from about 2k to k^2 (one
-# BLAS thread), 4,096 lost the least time of the thresholds from 1,000 to
+# The direct solve tries the hub where k^3 > HUB_CROSSOVER arcs (node pairs),
+# as the LU costs O(k^3) and the hub solve a few dozen products over the arcs.
+# Timed against each other for k from 8 to 1,024 and arcs from about 2k to k^2
+# (one BLAS thread), 4,096 lost the least time of the thresholds from 1,000 to
 # 10,000; the 18 of 296 games it sends the slower way lost at most 1 ms.
 HUB_CROSSOVER = 4_096
 _ROUNDING = 2.0 ** -53  # unit roundoff of float64
@@ -80,57 +79,68 @@ class SingularSystemError(RankingError):
 
 
 class PlayDigraph(Record, by_identity=True):
-    """Directed multigraph as arc columns: arc i runs ``src[i]`` ->
-    ``dst[i]`` with multiplicity ``weight[i]``; a pair may repeat.
-
-    ``nodes`` fixes the index order: players, then GOAL last.  The chain's T
-    is the weights over ``row_sums``, the out-degrees summed on first access.
-    """
+    """Weighted digraph as arc columns, one arc per node pair in key order
+    ``src * k + dst``.  The arcs given are merged, each pair's weights summed
+    exactly in int64; columns of unequal length, an end outside the k nodes
+    or a negative weight is refused first (CorruptedGraphError).  ``nodes``
+    fixes the index order: players, then GOAL last.  T is the weights over
+    ``row_sums``, the out-degrees summed on first access."""
 
     nodes: tuple[NodeRef, ...]
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
 
+    def __init__(self, nodes, src, dst, weight):
+        k = len(nodes)
+        if not len(src) == len(dst) == len(weight):
+            raise CorruptedGraphError(f"columns of {len(src)}, {len(dst)}, {len(weight)} arcs")
+        outside = (np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= k)
+        if outside.any():
+            i = outside.argmax()
+            raise CorruptedGraphError(f"arc {src[i]} -> {dst[i]} leaves the nodes 0..{k - 1}")
+        negative = weight < 0
+        if negative.any():  # before the merge, where a positive arc could hide it
+            i = negative.argmax()
+            raise CorruptedGraphError(f"arc {nodes[src[i]]!r} -> {nodes[dst[i]]!r} has weight "
+                                      f"{weight[i]}; arc weights count events")
+        key = src * k + dst
+        order = key.argsort()
+        key = key[order]
+        first = np.flatnonzero(key != np.append(-1, key[:-1]))  # each pair's first arc
+        super().__init__(nodes, *np.divmod(key[first], k), np.add.reduceat(weight[order], first))
+
     @cached_property
     def counts(self) -> np.ndarray:
         """Dense int64 arc-count matrix, ``counts[i, j]`` arcs i -> j."""
         k = len(self.nodes)
         counts = np.zeros((k, k), dtype=np.int64)
-        np.add.at(counts, (self.src, self.dst), self.weight)
+        counts[self.src, self.dst] = self.weight
         return counts
 
     @cached_property
     def row_sums(self) -> np.ndarray:
         """Out-degrees, the weights summed by ``src``: T's row divisors.  A
-        negative weight or a node without out-arcs is a CorruptedGraphError."""
-        negative = np.flatnonzero(self.weight < 0)
-        if negative.size:
-            i = negative[0]
-            raise CorruptedGraphError(
-                f"arc {self.nodes[self.src[i]]!r} -> {self.nodes[self.dst[i]]!r} has weight "
-                f"{self.weight[i]}; arc weights count events")
+        node without out-arcs is a CorruptedGraphError."""
         row_sums = np.zeros(len(self.nodes), dtype=np.int64)
         np.add.at(row_sums, self.src, self.weight)
         if (row_sums == 0).any():
             bad = int(np.argmin(row_sums))
             raise CorruptedGraphError(
-                f"node {self.nodes[bad]!r} has no outgoing arcs; graph was not initialized"
-            )
+                f"node {self.nodes[bad]!r} has no outgoing arcs; graph was not initialized")
         return row_sums
 
     def _dense_transpose(self) -> np.ndarray:
         """T^t as an F-ordered k x k view of this thread's buffer, which the
         next call in the thread overwrites: the integer counts (exact in
-        float64) scattered in, each column divided by its node's row sum."""
+        float64) written in, each column divided by its node's row sum."""
         k = len(self.nodes)
         buf = getattr(_workspace, "buf", None)
         if buf is None or buf.size < k * k:
             buf = _workspace.buf = np.empty(k * k)
         flat = buf[:k * k]
         flat.fill(0.0)
-        # 1-D and float64 on both sides: numpy's fast path for add.at
-        np.add.at(flat, self.dst + self.src * k, self.weight.astype(np.float64))
+        flat[self.dst + self.src * k] = self.weight
         tt = flat.reshape((k, k), order="F")  # tt[j, i] = arcs(i -> j)
         tt /= self.row_sums
         return tt
@@ -180,9 +190,9 @@ def arc_columns(log: GameLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _play_digraph(log: GameLog) -> PlayDigraph:
     """The digraph of a validated ``log`` (``pipeline.build_digraph`` checks
-    first): player -> goal arcs, goal -> everyone incl. itself, then each
-    event's arcs (``arc_columns``).  Events only add arcs, so the goal hub
-    stands in any event order."""
+    first): player -> goal arcs, goal -> everyone incl. itself, and each
+    event's arcs (``arc_columns``), merged.  Events only add arcs, so the
+    goal hub stands in any event order."""
     n = log.n_players
     every, goal = np.arange(n + 1), np.full(n + 1, n)
     src, dst, weight = arc_columns(log)
@@ -194,21 +204,21 @@ def _play_digraph(log: GameLog) -> PlayDigraph:
 
 def to_transition(g: PlayDigraph) -> PlayDigraph:
     """``g``, its out-degrees summed: the digraph is its own transition matrix."""
-    g.row_sums  # raises CorruptedGraphError for a negative weight or a node without out-arcs
+    g.row_sums  # raises CorruptedGraphError for a node without out-arcs
     return g
 
 
 def check_primitive(t: PlayDigraph) -> int:
     """Certify T^2 > 0 from the goal hub, in O(k + arcs), and return 2.
 
-    ``build_digraph`` gives the goal, the last node, an arc to and from every
-    node, so the walk i -> goal -> j joins any i and j.  Without both fans
-    the graph did not come from ``build_digraph``: CorruptedGraphError, even
-    if another node is a hub.  An all-positive T also gets 2, not witness 1.
+    ``build_digraph`` gives the goal, the last node, a positive arc to and
+    from every node, so the walk i -> goal -> j joins any i and j.  Without
+    both fans the graph did not come from ``build_digraph``: CorruptedGraphError,
+    even if another node is a hub.  An all-positive T also gets 2, not 1.
     """
     goal = len(t.nodes) - 1
-    into = np.bincount(t.src[t.dst == goal], minlength=goal + 1)
-    out = np.bincount(t.dst[t.src == goal], minlength=goal + 1)
+    into = np.bincount(t.src[(t.dst == goal) & (t.weight > 0)], minlength=goal + 1)
+    out = np.bincount(t.dst[(t.src == goal) & (t.weight > 0)], minlength=goal + 1)
     if not (into.all() and out.all()):
         raise CorruptedGraphError(
             "the last node lacks an arc to or from some node; graph was not initialized")
@@ -228,15 +238,15 @@ def stationary_power(
     step's decay over the last half of the run (every 32 iterations) puts
     ``tol`` beyond twice ``max_iters``.  The step never grows, since T is
     stochastic, and it shrinks about geometrically.  A step multiplies the
-    dense T^t when it has no more entries than the arcs (k^2 <= arcs), and
-    sums over the arcs otherwise, building nothing k x k.
+    dense T^t when at least half its entries are arcs (k^2 <= 2 arcs), and
+    sums over the arcs, in key order, otherwise, building nothing k x k.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     k = len(t.nodes)
-    matvec = t._dense_transpose().dot if k * k <= len(t.src) else t._arc_matvec()
+    matvec = t._dense_transpose().dot if k * k <= 2 * len(t.src) else t._arc_matvec()
     v = np.full(k, 1.0 / k)
     steps = []
     for it in range(1, max_iters + 1):
@@ -256,8 +266,7 @@ def stationary_power(
                     f"(step {step:.1e} after {it}, shrinking {1 - math.exp(rate):.1e} "
                     f"per iteration)")
     raise NonConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iters} iterations"
-    )
+        f"power iteration did not reach tol={tol} in {max_iters} iterations")
 
 
 def _hub_solve(t: PlayDigraph) -> tuple[np.ndarray, np.ndarray] | None:
@@ -269,10 +278,9 @@ def _hub_solve(t: PlayDigraph) -> tuple[np.ndarray, np.ndarray] | None:
     T[g, P]^t and v = [x, 1] / (sum(x) + 1).  When every player has an arc
     to the goal, Q is strictly substochastic and I - Q a nonsingular
     M-matrix.  BiCGSTAB (van der Vorst 1992) solves it, one bincount over
-    the player-to-player arcs per product.  The arcs of each (src, dst) pair
-    are merged first, their counts summed exactly as in the LU's T^t, so a
-    product adds one term per pair.  Its own residual test only ends a run:
-    v is returned only if its L1 residual, summed over the merged arcs, is
+    the player-to-player arcs per product, one term per node pair, whose
+    count is exact as in the LU's T^t.  Its own residual test only ends a
+    run: v is returned only if its L1 residual, summed over the arcs, is
     within the rounding allowance 2 (k + 2) 2^-53 that the dense solve's
     vector meets.  A breakdown restarts from the true residual, and so does
     the first refused vector, since the recurred residual may have drifted
@@ -282,13 +290,10 @@ def _hub_solve(t: PlayDigraph) -> tuple[np.ndarray, np.ndarray] | None:
     """
     k = len(t.nodes)
     g = k - 1
-    pairs, which = np.unique(t.src * k + t.dst, return_inverse=True)
-    src, dst = np.divmod(pairs, k)
-    weight = np.bincount(which, t.weight)  # each pair's counts, summed exactly
+    src, dst, p = t.src, t.dst, t.weight / t.row_sums[t.src]
     into = dst == g
-    if not np.bincount(src[into], weight[into], k)[:g].all():
+    if not np.bincount(src[into], p[into], k)[:g].all():
         return None
-    p = weight / t.row_sums[src]
     among, out = (src != g) & ~into, (src == g) & ~into
     s, d, q = src[among], dst[among], p[among]
     b = np.bincount(dst[out], p[out], g)
@@ -349,7 +354,7 @@ def stationary_direct(t: PlayDigraph) -> RankVector:
     system solved densely by LU with partial pivoting, set up in this
     thread's T^t buffer (``_dense_transpose``).  Independent of the power
     route, so the two can cross-check each other.  The residual
-    max |T^t v - v| is summed over the arcs.
+    max |T^t v - v| is summed over the arcs, one term per node pair.
     """
     k = len(t.nodes)
     hub = _hub_solve(t) if k ** 3 > HUB_CROSSOVER * len(t.src) else None
@@ -366,10 +371,8 @@ def stationary_direct(t: PlayDigraph) -> RankVector:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"direct solve failed: {exc}") from exc
     if not np.isfinite(v).all() or v.min() < -1e-9:
-        raise SingularSystemError(
-            "direct solve produced an invalid stationary vector "
-            "(matrix is likely not primitive)"
-        )
+        raise SingularSystemError("direct solve produced an invalid stationary vector "
+                                  "(matrix is likely not primitive)")
     v = np.clip(v, 0.0, None)
     v /= v.sum()
     return RankVector(t.nodes, v, float(np.abs(t._arc_matvec()(v) - v).max()), "direct")

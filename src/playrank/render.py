@@ -104,12 +104,9 @@ def render_matrix(graph: PlayDigraph, form: str = "adjacency") -> str:
         raise TypeError(f"render_matrix needs a PlayDigraph, not {type(graph).__name__}")
     if form not in MATRIX_FORMS:
         raise ValueError(f"unknown matrix form {form!r} (use one of {MATRIX_FORMS})")
-    # a cell is its arcs merged, over 1 or its row's out-degree, reduced: p/q, or p if q is 1
+    # a cell is its arc's weight, over 1 or its row's out-degree, reduced: p/q, or p if q is 1
     k = len(graph.nodes)
-    cells, merged = np.unique(graph.src * k + graph.dst, return_inverse=True)
-    num = np.zeros(len(cells), dtype=np.int64)
-    np.add.at(num, merged, graph.weight)  # exact in int64, as counts and row_sums are
-    src, dst = np.divmod(cells, k)
+    src, dst, num = graph.src, graph.dst, graph.weight
     den = np.ones_like(num) if form == "adjacency" else graph.row_sums[src]
     gcd = np.gcd(num, den)
     ends = (dst, src) if form == "column-stochastic" else (src, dst)

@@ -58,8 +58,8 @@ def primitivity_witness(t: PlayDigraph) -> int:
     from ``build_digraph``: CorruptedGraphError.
     """
     k = len(t.nodes)
-    pattern = np.zeros((k, k), dtype=bool)  # where the arcs run; their weights are positive
-    pattern.reshape(-1)[t.src * k + t.dst] = True
+    pattern = np.zeros((k, k), dtype=bool)  # where the arcs of positive weight run
+    pattern.reshape(-1)[(t.src * k + t.dst)[t.weight > 0]] = True
     if not pattern[:, pattern.all(axis=1)].all(axis=0).any():  # a full row with a full column
         raise CorruptedGraphError(
             "no node has an all-positive row and column; graph was not initialized")

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import random
 import re
 import sys
 import time
@@ -17,11 +18,11 @@ from hypothesis import given, settings
 from playrank import cli
 from playrank.cli import main
 from playrank.gamelog_json import SchemaError, render_gamelog
-from playrank.model import MAX_PLAYERS, Sport
-from playrank.pipeline import parse_game_text
+from playrank.model import MAX_PLAYERS, GameLog, Sport
+from playrank.pipeline import build_digraph, parse_game_text
 from playrank.playscript import PlayscriptError
-from playrank.ranking import SingularSystemError
-from playrank.render import COMPARISON_FORMATS, REPORT_FORMATS
+from playrank.ranking import HUB_CROSSOVER, SingularSystemError
+from playrank.render import COMPARISON_FORMATS, MATRIX_FORMS, REPORT_FORMATS
 from playrank.synth import generate_random_game
 
 from golden import DEMO_ADJACENCY
@@ -246,6 +247,31 @@ def test_matrix_stochastic_dump_at_the_player_cap_is_quick(tmp_path, form):
     with out.open(encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == MAX_PLAYERS + 2  # the header, then one line per node
     assert elapsed < 2.0  # 0.2-0.3 s on a 2-vCPU VM; building k^2 Fractions took 5.7 s or more
+
+
+@pytest.mark.parametrize("sport, players, events", [
+    (Sport.SOCCER, 24, 2_500),  # power on the dense T^t, the LU
+    (Sport.HOCKEY, 350, 2_000),  # power on the arcs, the hub solve
+], ids=["dense-step", "arc-step-and-hub"])
+def test_the_event_order_changes_no_output_byte(capsys, tmp_path, sport, players, events):
+    log = generate_random_game(sport, players, events, seed=3)
+    k, arcs = players + 1, len(build_digraph(log).src)
+    assert (k * k <= 2 * arcs) == (k ** 3 <= HUB_CROSSOVER * arcs) == (players == 24)
+    path = tmp_path / "game.json"
+
+    def outputs(events):
+        path.write_text(render_gamelog(GameLog(sport, log.teams, events)), encoding="utf-8")
+        runs = [run(capsys, "rank", str(path), "--format", fmt, "--solver", solver)
+                for fmt in REPORT_FORMATS for solver in ("power", "direct", "both")]
+        runs += [run(capsys, "matrix", str(path), "--form", form) for form in MATRIX_FORMS]
+        assert [code for code, _, _ in runs] == [0] * len(runs)
+        return runs
+    expected = outputs(log.events)
+    shuffle = random.Random(4).shuffle
+    for _ in range(3):
+        events = list(log.events)
+        shuffle(events)
+        assert outputs(tuple(events)) == expected
 
 
 def test_synth_at_the_event_cap_is_quick(tmp_path):

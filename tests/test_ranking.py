@@ -147,16 +147,23 @@ def test_arc_columns_drop_dead_balls_and_follow_the_event_order():
     src, dst, weight = arc_columns(log)
     # receiver -> passer for a pass, shooter -> keeper for a save; nodes H1 H2 A1 A2 GOAL
     assert (src.tolist(), dst.tolist(), weight.tolist()) == ([1, 1, 3], [0, 2, 2], [1, 1, 1])
+    # the digraph holds the initial arcs and these merged: one arc per
+    # nonzero cell of the summed counts, in key order (row by row)
     g0, g = _initial(rosters), build_digraph(log)
+    counts = np.zeros((5, 5), dtype=np.int64)
+    np.add.at(counts, (np.concatenate((g0.src, src)), np.concatenate((g0.dst, dst))),
+              np.concatenate((g0.weight, weight)))
+    cells = np.nonzero(counts)
     assert [col.tolist() for col in (g.src, g.dst, g.weight)] == [
-        np.concatenate(pair).tolist() for pair in zip((g0.src, g0.dst, g0.weight), (src, dst, weight))]
+        *(c.tolist() for c in cells), counts[cells].tolist()]
+    assert np.array_equal(g.counts, counts)
 
 
 def test_counts_are_built_on_first_access_only():
     g = build_digraph(build_demo_log())
     t = to_transition(g)
     stationary_power(t), stationary_direct(t), check_primitive(t)
-    for form in MATRIX_FORMS:  # the dumps merge the arcs themselves
+    for form in MATRIX_FORMS:  # the dumps read the arcs
         render_matrix(g, form)
     assert "counts" not in vars(g)
     assert g.counts is g.counts and g.counts.dtype == np.int64
@@ -219,15 +226,46 @@ def test_zero_row_is_a_corrupted_graph():
             read(_digraph(counts, ("p", "q", GOAL)))
 
 
-def test_a_negative_arc_weight_is_a_corrupted_graph():
-    # out-degrees [-2, 2]: no zero row, and yet no chain
-    def digraph():
-        return PlayDigraph(("p", GOAL), *np.array([[0, 0, 1, 1], [1, 1, 0, 1], [1, -3, 1, 1]]))
+@pytest.mark.parametrize("arcs", [
+    [[0, 0, 1, 1], [1, 1, 0, 1], [1, -3, 1, 1]],  # out-degrees [-2, 2]: no zero row, no chain
+    [[0, 0, 1, 1], [1, 1, 0, 1], [-3, 5, 1, 1]],  # merged, the pair would weigh 2
+], ids=["negative-row", "hidden-by-a-positive-arc"])
+def test_a_negative_arc_weight_is_a_corrupted_graph(arcs):
+    # refused when the digraph is built, before its arcs are merged
+    with pytest.raises(CorruptedGraphError, match="arc 'p' -> GOAL has weight -3"):
+        PlayDigraph(("p", GOAL), *np.array(arcs))
 
-    for read in (to_transition, lambda g: g.row_sums, stationary_power, stationary_direct,
-                 solve_stationary):
-        with pytest.raises(CorruptedGraphError, match="arc 'p' -> GOAL has weight -3"):
-            read(digraph())
+
+@pytest.mark.parametrize("src, dst, message", [
+    ([0, 1, 2, 2, 2, 0], [2, 2, 0, 1, 2, 3], "arc 0 -> 3 leaves the nodes 0..2"),
+    ([0, 1, 2, 2, 2, 3], [2, 2, 0, 1, 2, 0], "arc 3 -> 0 leaves the nodes 0..2"),
+    ([0, 1, 2, 2, 2, 0], [2, 2, 0, 1, 2, -1], "arc 0 -> -1 leaves the nodes 0..2"),
+    ([0, 1, 2, 2, 2, -1], [2, 2, 0, 1, 2, 0], "arc -1 -> 0 leaves the nodes 0..2"),
+], ids=["dst-past-the-end", "src-past-the-end", "dst-negative", "src-negative"])
+def test_an_arc_outside_the_nodes_is_a_corrupted_graph(src, dst, message):
+    # node 3 of 3 would share its key src * k + dst with another pair (0 -> 3
+    # is 1 -> 0), and a solver would index past its vectors
+    with pytest.raises(CorruptedGraphError, match=re.escape(message)):
+        PlayDigraph(("p", "q", GOAL), np.array(src), np.array(dst), np.ones(6, np.int64))
+
+
+@pytest.mark.parametrize("lengths", [(3, 3, 2), (3, 2, 3), (2, 3, 3)])
+def test_arc_columns_of_unequal_length_are_a_corrupted_graph(lengths):
+    columns = (np.array([0, 1, 2][:n]) for n in lengths)
+    with pytest.raises(CorruptedGraphError, match="columns of"):
+        PlayDigraph(("p", "q", GOAL), *columns)
+
+
+def test_the_arcs_of_a_pair_are_merged_in_key_order():
+    # the same arcs in any order give one arc per pair, their weights summed
+    src, dst, weight = np.array([[2, 0, 2, 1, 2, 0, 2],
+                                 [2, 2, 0, 2, 1, 2, 2],
+                                 [1, 4, 1, 1, 1, 0, 2]])
+    for order in ([0, 1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1, 0], [3, 0, 5, 6, 1, 4, 2]):
+        g = PlayDigraph(("p", "q", GOAL), src[order], dst[order], weight[order])
+        assert [col.tolist() for col in (g.src, g.dst, g.weight)] == [
+            [0, 1, 2, 2, 2], [2, 2, 0, 1, 2], [4, 1, 1, 1, 3]]
+        assert g.weight.dtype == np.int64
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,6 +397,18 @@ def test_a_hub_other_than_the_last_node_is_corrupt(arc):
     assert primitivity_witness(t) == 2  # node 0 is a hub
     with pytest.raises(CorruptedGraphError):
         check_primitive(t)
+
+
+def test_a_weight_zero_arc_to_the_goal_is_no_arc():
+    # p's arc to the goal weighs 0, so p's only way on is p -> q and
+    # T^2[p, p] is 0: the goal is no hub
+    t = PlayDigraph(("p", "q", GOAL), np.array([0, 0, 1, 2, 2, 2]),
+                    np.array([1, 2, 2, 0, 1, 2]), np.array([1, 0, 1, 1, 1, 1]))
+    dense = t.counts / t.row_sums[:, None]
+    assert (dense @ dense == 0).any()
+    for certify in (primitivity_witness, check_primitive):
+        with pytest.raises(CorruptedGraphError):
+            certify(t)
 
 
 def test_an_all_positive_chain_certifies_two_not_one():
@@ -561,17 +611,33 @@ def test_solvers_match_the_gth_oracle(counts):
     assert np.abs(stationary_direct(t).values - exact).max() <= 1e-12
 
 
+@st.composite
+def sparse_count_matrices(draw, max_k=8):
+    """Arc counts of 4 to ``max_k`` nodes with a hub (its row and column
+    positive) and fewer than half the counts positive."""
+    k = draw(st.integers(min_value=4, max_value=max_k))
+    h = draw(st.integers(min_value=0, max_value=k - 1))
+    counts = np.zeros((k, k), dtype=np.int64)
+    counts[h, :] = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+    counts[:, h] = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+    others = [(i, j) for i in range(k) for j in range(k) if h not in (i, j)]
+    budget = (k * k - 1) // 2 - (2 * k - 1)  # positive counts beyond the hub's
+    for cell in draw(st.lists(st.sampled_from(others), max_size=budget, unique=True)):
+        counts[cell] = draw(st.integers(1, 2))
+    return counts
+
+
 @settings(max_examples=100, deadline=None)
-@given(counts=count_matrices(max_k=8, hub=True))
+@given(counts=sparse_count_matrices())
 def test_dense_and_arc_steps_agree(counts):
-    # One arc per nonzero count: the arc step while some count is 0.  The same
-    # chain padded with weight-0 arcs up to k^2 arcs takes the dense step.
+    # One arc per positive count, under half of k^2: the arc step.  The same
+    # chain with every cell an arc, the empty ones of weight 0, takes the
+    # dense step.
     k = len(counts)
     arcs = _pattern_matrix(counts)
-    pad = k * k - len(arcs.src)
-    dense = PlayDigraph(arcs.nodes, np.concatenate((arcs.src, np.zeros(pad, np.int64))),
-                        np.concatenate((arcs.dst, np.zeros(pad, np.int64))),
-                        np.concatenate((arcs.weight, np.zeros(pad, np.int64))))
+    assert k * k > 2 * len(arcs.src)
+    cells = np.arange(k * k)
+    dense = PlayDigraph(arcs.nodes, cells // k, cells % k, counts.reshape(-1))
     assert len(dense.src) == k * k
     # The two steps sum in other orders, so a step may differ by about 1e-16:
     # a stop decided within that of tol could come one iteration apart.  At
@@ -591,7 +657,7 @@ def _fresh_thread(fn):
 
 def test_power_on_arcs_never_builds_the_buffer():
     t = to_transition(build_digraph(generate_random_game(Sport.SOCCER, 350, 2_000, 7)))
-    assert len(t.nodes) ** 2 > len(t.src)
+    assert len(t.nodes) ** 2 > 2 * len(t.src)
 
     def solve():
         stationary_power(t)
@@ -673,11 +739,12 @@ def test_the_hub_vector_meets_the_rounding_allowance(counts):
 
 def _passing_pair(players, passes):
     """Each player has an arc to and from the goal, and players 0 and 1
-    pass ``passes`` times each way, one arc per pass; with the chain's
-    stationary vector as Fractions.  Exactly, x = pi / pi_goal has x_j =
-    T[goal, j] = 1/k for the players only the goal enters, and x_0 = x_1 =
-    (passes + 1)/k, since each of the pair gets 1/k from the goal and
-    passes/(passes + 1) of the other's share."""
+    pass ``passes`` times each way, one arc per pass (merged into one per
+    pair when the digraph is built); with the chain's stationary vector as
+    Fractions.  Exactly, x = pi / pi_goal has x_j = T[goal, j] = 1/k for
+    the players only the goal enters, and x_0 = x_1 = (passes + 1)/k, since
+    each of the pair gets 1/k from the goal and passes/(passes + 1) of the
+    other's share."""
     k = players + 1
     src = np.concatenate((np.arange(players), np.full(k, players), np.repeat([0, 1], passes)))
     dst = np.concatenate((np.full(players, players), np.arange(k), np.repeat([1, 0], passes)))
@@ -690,8 +757,9 @@ def _passing_pair(players, passes):
 def test_the_hub_solve_sums_repeated_arcs_exactly(players, passes):
     # The pair leaves for the goal once in passes + 1 steps, so products
     # that added the passes one at a time in float64 would move the vector
-    # by up to 1e-11; merged into one count per pair, as the LU's T^t has
-    # them, the hub vector is as close to the exact one as the LU's.
+    # by up to 1e-11; merged into one count per pair when the digraph is
+    # built, as the LU's T^t has them, the hub vector is as close to the
+    # exact one as the LU's.
     t, exact = _passing_pair(players, passes)
     v, _ = _hub_solve(t)
     assert np.abs(v - [float(x) for x in exact]).max() <= 2e-14
@@ -744,7 +812,7 @@ def test_the_refined_reference_is_the_exact_vector():
 def test_the_buffer_is_one_float64_matrix_kept_and_grown():
     small, large = (to_transition(build_digraph(generate_random_game(Sport.HOCKEY, n, m, 3)))
                     for n, m in ((30, 2_000), (60, 50)))
-    assert len(small.nodes) ** 2 <= len(small.src)  # power takes the dense step
+    assert len(small.nodes) ** 2 <= 2 * len(small.src)  # power takes the dense step
     j, k = len(small.nodes), len(large.nodes)
 
     def solve():
@@ -775,7 +843,7 @@ def test_threads_solving_at_once_get_the_sequential_results():
     graphs = [to_transition(build_digraph(generate_random_game(sport, n, 3_000, seed)))
               for sport, n, seed in ((Sport.BASKETBALL, 20, 1), (Sport.SOCCER, 30, 2),
                                      (Sport.HOCKEY, 24, 3), (Sport.BASKETBALL, 12, 4))]
-    assert all(len(t.nodes) ** 2 <= len(t.src) for t in graphs)  # the dense step
+    assert all(len(t.nodes) ** 2 <= 2 * len(t.src) for t in graphs)  # the dense step
 
     def solve(t):
         return [stationary_power(t).values, stationary_direct(t).values]
@@ -803,7 +871,7 @@ def test_threads_analysing_games_at_once_get_the_sequential_reports():
     logs = [generate_random_game(Sport.BASKETBALL, n, m, seed)
             for n, m, seed in ((350, 2_000, 1), (24, 2_500, 2))]
     graphs = [build_digraph(log) for log in logs]
-    assert [len(g.nodes) ** 2 <= len(g.src) for g in graphs] == [False, True]
+    assert [len(g.nodes) ** 2 <= 2 * len(g.src) for g in graphs] == [False, True]
     expected = [analyze_game(log, solver="both").report for log in logs]
     start = threading.Barrier(len(logs), timeout=30)
 

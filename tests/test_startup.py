@@ -11,7 +11,7 @@ import playrank
 from conftest import REPO_ROOT
 
 # Modules that are slow to import and that no first game needs: numpy.ma
-# (pulled in by np.unique), numpy.random, packages playrank does not depend
+# (np.unique would pull it in), numpy.random, packages playrank does not depend
 # on, the csv module that render imports only on first use, and fractions
 # and decimal, which no module of playrank imports.
 COLD_MODULES = ("numpy.ma", "numpy.random", "scipy", "orjson", "csv", "fractions", "decimal")
