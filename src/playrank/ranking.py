@@ -19,27 +19,25 @@ nodes.  The dense int64 arc-count matrix ``counts`` is built on request.
 
 The digraph is its own transition matrix, T[i][j] = weight(i->j) / outdeg(i),
 row-stochastic, with the out-degrees (``row_sums``) summed from the arcs, so
-each entry is an exact ratio of integers (``render.render_matrix`` writes it
-as one).  The stationary vector v solves T^t v = v with sum(v) = 1 and is
-computed two independent ways: power iteration on T^t and a direct linear
-solve.  Each serves as an oracle for the other.  Both may read a dense
-float64 T^t from one builder (``_dense_transpose``), which writes the arcs
-into a buffer kept per thread and grown to the largest k^2 it has held:
-8 k^2 bytes survive a solve.  Power iteration steps on it (one BLAS product,
-O(k^2)) when T is at least half full (k^2 <= 2 arcs); otherwise each step
-is one weighted bincount over the arcs, O(arcs), and nothing k x k is built.
-The direct solve is an LU with partial pivoting on it, O(k^3), unless k^3 >
-HUB_CROSSOVER arcs, where the hub solve is the faster (a measured crossover):
-it censors the chain on the goal hub and solves the players' system by
-BiCGSTAB, O(arcs) per step, building nothing k x k (``_hub_solve``).  That
-vector is kept only when its residual is within the rounding allowance the
-LU's vector meets; otherwise, or without the goal hub, the LU runs.
+each entry is an exact ratio of integers below 2^53 (``render.render_matrix``
+writes it as one).  The stationary vector v solves T^t v = v with sum(v) = 1
+and is computed two independent ways, power iteration on T^t and a direct
+linear solve, each an oracle for the other.  Both read T on the arcs from one
+cached column, ``probs`` = weight / row_sums[src], and may build from it a new
+dense float64 T^t (``_dense_transpose``) that no solve keeps.  Power iteration
+steps on it (one BLAS product, O(k^2)) when T is at least half full (k^2 <= 2
+arcs); otherwise each step is one weighted bincount over the arcs, O(arcs),
+and nothing k x k is built.  The direct solve is an LU with partial pivoting
+on it, O(k^3), unless k^3 > HUB_CROSSOVER arcs: then the hub solve censors the
+chain on the goal hub and solves the players' system by BiCGSTAB, O(arcs) per
+step, building nothing k x k (``_hub_solve``), and keeps its vector only when
+its residual is within the rounding allowance the LU's vector meets; if not,
+or without the goal hub, the LU runs.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable
 from functools import cached_property
 
@@ -57,8 +55,6 @@ HUB_MAX_ITERS = 100  # BiCGSTAB steps of the hub solve before the LU takes over
 # 10,000; the 18 of 296 games it sends the slower way lost at most 1 ms.
 HUB_CROSSOVER = 4_096
 _ROUNDING = 2.0 ** -53  # unit roundoff of float64
-
-_workspace = threading.local()  # ``buf``: this thread's float64 T^t storage
 
 
 class RankingError(Exception):
@@ -81,10 +77,11 @@ class SingularSystemError(RankingError):
 class PlayDigraph(Record, by_identity=True):
     """Weighted digraph as arc columns, one arc per node pair in key order
     ``src * k + dst``.  The arcs given are merged, each pair's weights summed
-    exactly in int64; columns of unequal length, an end outside the k nodes
-    or a negative weight is refused first (CorruptedGraphError).  ``nodes``
-    fixes the index order: players, then GOAL last.  T is the weights over
-    ``row_sums``, the out-degrees summed on first access."""
+    exactly in int64.  Refused first (CorruptedGraphError): columns not 1-D
+    integer arrays or of unequal length, an end outside the k nodes, a
+    negative weight, or a total weight of 2^53 or more (a sum could wrap or
+    round).  ``nodes`` fixes the index order: players, then GOAL last.  T is
+    the weights over ``row_sums``, the out-degrees summed on first access."""
 
     nodes: tuple[NodeRef, ...]
     src: np.ndarray
@@ -93,6 +90,10 @@ class PlayDigraph(Record, by_identity=True):
 
     def __init__(self, nodes, src, dst, weight):
         k = len(nodes)
+        columns = src, dst, weight = [np.asarray(c) for c in (src, dst, weight)]
+        if any(c.ndim != 1 or c.dtype.kind not in "iu" for c in columns):
+            raise CorruptedGraphError("arc columns must be 1-D integer arrays, not "
+                                      + ", ".join(f"{c.ndim}-D {c.dtype}" for c in columns))
         if not len(src) == len(dst) == len(weight):
             raise CorruptedGraphError(f"columns of {len(src)}, {len(dst)}, {len(weight)} arcs")
         outside = (np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= k)
@@ -104,6 +105,10 @@ class PlayDigraph(Record, by_identity=True):
             i = negative.argmax()
             raise CorruptedGraphError(f"arc {nodes[src[i]]!r} -> {nodes[dst[i]]!r} has weight "
                                       f"{weight[i]}; arc weights count events")
+        # exact: float64 sums of non-negative integers never round across 2^53
+        if weight.sum(dtype=np.float64) >= 2.0 ** 53:
+            raise CorruptedGraphError("arc weights total 2^53 or more, past exact float64 sums")
+        src, dst, weight = (c.astype(np.int64, copy=False) for c in columns)
         key = src * k + dst
         order = key.argsort()
         key = key[order]
@@ -130,25 +135,21 @@ class PlayDigraph(Record, by_identity=True):
                 f"node {self.nodes[bad]!r} has no outgoing arcs; graph was not initialized")
         return row_sums
 
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """T on each arc, ``weight / row_sums[src]``, one rounding of exact floats."""
+        return self.weight / self.row_sums[self.src]
+
     def _dense_transpose(self) -> np.ndarray:
-        """T^t as an F-ordered k x k view of this thread's buffer, which the
-        next call in the thread overwrites: the integer counts (exact in
-        float64) written in, each column divided by its node's row sum."""
+        """T^t as a new F-ordered k x k float64 array, ``tt[dst, src] = probs``."""
         k = len(self.nodes)
-        buf = getattr(_workspace, "buf", None)
-        if buf is None or buf.size < k * k:
-            buf = _workspace.buf = np.empty(k * k)
-        flat = buf[:k * k]
-        flat.fill(0.0)
-        flat[self.dst + self.src * k] = self.weight
-        tt = flat.reshape((k, k), order="F")  # tt[j, i] = arcs(i -> j)
-        tt /= self.row_sums
+        tt = np.zeros((k, k), order="F")
+        tt[self.dst, self.src] = self.probs
         return tt
 
     def _arc_matvec(self) -> Callable[[np.ndarray], np.ndarray]:
         """v -> T^t v as one weighted bincount over the arcs, O(arcs) per call."""
-        k, src, dst = len(self.nodes), self.src, self.dst
-        p = self.weight / self.row_sums[src]
+        k, src, dst, p = len(self.nodes), self.src, self.dst, self.probs
         return lambda v: np.bincount(dst, p * v[src], k)
 
 
@@ -290,7 +291,7 @@ def _hub_solve(t: PlayDigraph) -> tuple[np.ndarray, np.ndarray] | None:
     """
     k = len(t.nodes)
     g = k - 1
-    src, dst, p = t.src, t.dst, t.weight / t.row_sums[t.src]
+    src, dst, p = t.src, t.dst, t.probs
     into = dst == g
     if not np.bincount(src[into], p[into], k)[:g].all():
         return None
@@ -311,7 +312,7 @@ def _hub_solve(t: PlayDigraph) -> tuple[np.ndarray, np.ndarray] | None:
             if x.min() >= 0.0:
                 v = np.append(x, 1.0)
                 v /= v.sum()
-                residual = np.bincount(dst, p * v[src], k) - v
+                residual = t._arc_matvec()(v) - v
                 if np.abs(residual).sum() <= allowance:
                     return v, residual
             if refused:
@@ -351,10 +352,9 @@ def stationary_direct(t: PlayDigraph) -> RankVector:
     (Seneta 1981), the same bound the LU's vector meets.  Otherwise (denser
     graphs, no arc from some node into the last one, or no vector accepted)
     the redundant last equation is replaced by the normalization row and the
-    system solved densely by LU with partial pivoting, set up in this
-    thread's T^t buffer (``_dense_transpose``).  Independent of the power
-    route, so the two can cross-check each other.  The residual
-    max |T^t v - v| is summed over the arcs, one term per node pair.
+    system solved by LU with partial pivoting on a new ``_dense_transpose()``.
+    Independent of the power route, so the two can cross-check each other.
+    The residual max |T^t v - v| is summed over the arcs (``_arc_matvec``).
     """
     k = len(t.nodes)
     hub = _hub_solve(t) if k ** 3 > HUB_CROSSOVER * len(t.src) else None

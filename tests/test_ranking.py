@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -175,7 +176,7 @@ def test_floats_are_the_counts_over_the_row_sums_exactly(log):
     t = to_transition(build_digraph(log))
     counts = t.counts
     assert np.array_equal(t.row_sums, counts.sum(axis=1))
-    dense = t._dense_transpose()  # both solvers' T^t, in this thread's buffer
+    dense = t._dense_transpose()  # both solvers' T^t, from the arcs' probs
     expected = (counts / t.row_sums[:, None]).T
     assert dense.dtype == np.float64 and dense.flags.f_contiguous
     assert dense.tobytes(order="F") == expected.tobytes(order="F")  # bit for bit
@@ -254,6 +255,54 @@ def test_arc_columns_of_unequal_length_are_a_corrupted_graph(lengths):
     columns = (np.array([0, 1, 2][:n]) for n in lengths)
     with pytest.raises(CorruptedGraphError, match="columns of"):
         PlayDigraph(("p", "q", GOAL), *columns)
+
+
+@pytest.mark.parametrize("columns, kinds", [
+    (([0, 1, 1], [1, 0, 1], [1.0, 2.0, 0.5]), "1-D int64, 1-D int64, 1-D float64"),
+    (([0.0, 1, 1], [1, 0, 1], [1, 1, 1]), "1-D float64, 1-D int64, 1-D int64"),
+    (([[0, 1, 1]], [[1, 0, 1]], [[1, 1, 1]]), "2-D int64, 2-D int64, 2-D int64"),
+], ids=["float-weights", "float-src", "2-D"])
+def test_columns_that_are_not_1d_integer_arrays_are_a_corrupted_graph(columns, kinds):
+    # a weight of 0.5 counts no events; a float or 2-D end indexes no node
+    with pytest.raises(CorruptedGraphError, match=re.escape(
+            f"arc columns must be 1-D integer arrays, not {kinds}")):
+        PlayDigraph(("p", GOAL), *map(np.array, columns))
+
+
+def test_integer_columns_of_any_width_are_stored_as_int64():
+    # 200 + 100 on one pair would wrap in uint8
+    src, dst, weight = [0, 0, 1, 2, 2, 2], [1, 1, 2, 0, 1, 2], [200, 100, 1, 1, 1, 1]
+    g = PlayDigraph(("p", "q", GOAL), np.array(src, np.int32), np.array(dst, np.uint16),
+                    np.array(weight, np.uint8))
+    assert [col.dtype for col in (g.src, g.dst, g.weight)] == [np.int64] * 3
+    assert g.weight.tolist() == [300, 1, 1, 1, 1]
+
+
+def _with_heavy_arcs(weights):
+    """The 3-node digraph whose initial arcs weigh 1 and whose arcs p -> q
+    weigh ``weights``."""
+    src, dst = [0, 1, 2, 2, 2] + [0] * len(weights), [2, 2, 0, 1, 2] + [1] * len(weights)
+    return PlayDigraph(("p", "q", GOAL), np.array(src), np.array(dst),
+                       np.array([1] * 5 + weights, np.int64))
+
+
+@pytest.mark.parametrize("weights", [[2 ** 62] * 2, [2 ** 62] * 3, [2 ** 53 - 5]],
+                         ids=["merge-wraps", "total-wraps", "total-2^53"])
+def test_weights_totalling_2_to_53_or_more_are_a_corrupted_graph(weights):
+    # merged, two arcs of 2^62 would weigh -2^63 and p's row sum be negative;
+    # the int64 total of two or three wraps, so the check must not sum in int64
+    assert (np.array([1] * 5 + weights).sum() < 0) == (len(weights) > 1)
+    with pytest.raises(CorruptedGraphError, match=re.escape("arc weights total 2^53 or more")):
+        _with_heavy_arcs(weights)
+
+
+def test_weights_totalling_just_under_2_to_53_are_exact():
+    # a total of 2^53 - 1: every out-degree exact, and T on each arc the
+    # exact ratio rounded once
+    g = _with_heavy_arcs([2 ** 53 - 6])
+    assert g.row_sums.tolist() == [2 ** 53 - 5, 1, 3]
+    exact = Fraction(2 ** 53 - 6, 2 ** 53 - 5), Fraction(1, 2 ** 53 - 5)
+    assert [abs(Fraction(p) - x) <= x * 2 ** -53 for p, x in zip(g.probs, exact)] == [True] * 2
 
 
 def test_the_arcs_of_a_pair_are_merged_in_key_order():
@@ -650,37 +699,38 @@ def test_dense_and_arc_steps_agree(counts):
 
 
 def _fresh_thread(fn):
-    """``fn()`` run in a new thread, so with no T^t buffer yet."""
+    """``fn()`` run in a new thread, so nothing a thread kept from an earlier
+    solve can hide what this one builds."""
     with ThreadPoolExecutor(1) as pool:
         return pool.submit(fn).result()
 
 
-def test_power_on_arcs_never_builds_the_buffer():
+def _dense_builds(fn):
+    """``fn()``, and how many dense T^t it built (``_dense_transpose`` calls)."""
+    with mock.patch.object(PlayDigraph, "_dense_transpose", autospec=True,
+                           side_effect=PlayDigraph._dense_transpose) as spy:
+        return fn(), spy.call_count
+
+
+def test_power_on_arcs_builds_no_dense_transpose():
     t = to_transition(build_digraph(generate_random_game(Sport.SOCCER, 350, 2_000, 7)))
     assert len(t.nodes) ** 2 > 2 * len(t.src)
-
-    def solve():
-        stationary_power(t)
-        return getattr(ranking._workspace, "buf", None)
-    assert _fresh_thread(solve) is None
+    rank, built = _dense_builds(lambda: stationary_power(t))
+    assert built == 0 and rank.method == "power"
 
 
-def test_the_hub_solve_builds_no_buffer():
+def test_the_hub_solve_builds_no_dense_transpose():
     t = to_transition(build_digraph(generate_random_game(Sport.SOCCER, 350, 2_000, 7)))
     assert len(t.nodes) ** 3 > ranking.HUB_CROSSOVER * len(t.src)
-
-    def solve():
-        stationary_direct(t)
-        return getattr(ranking._workspace, "buf", None)
-    assert _fresh_thread(solve) is None
+    rank, built = _dense_builds(lambda: stationary_direct(t))
+    assert built == 0 and rank.method == "direct"
 
 
 def _with_lu(t):
-    """``stationary_direct(t)`` in a fresh thread, and whether it built the
-    T^t buffer, so took the LU."""
-    def solve():
-        return stationary_direct(t), getattr(ranking._workspace, "buf", None) is not None
-    return _fresh_thread(solve)
+    """``stationary_direct(t)``, and whether it built one dense T^t, so took
+    the LU."""
+    rank, built = _dense_builds(lambda: stationary_direct(t))
+    return rank, built == 1
 
 
 def test_below_the_crossover_the_direct_solve_is_the_lu():
@@ -809,33 +859,35 @@ def test_the_refined_reference_is_the_exact_vector():
     assert np.abs(refined_stationary(t) - exact).max() <= 1e-16
 
 
-def test_the_buffer_is_one_float64_matrix_kept_and_grown():
-    small, large = (to_transition(build_digraph(generate_random_game(Sport.HOCKEY, n, m, 3)))
-                    for n, m in ((30, 2_000), (60, 50)))
-    assert len(small.nodes) ** 2 <= 2 * len(small.src)  # power takes the dense step
-    j, k = len(small.nodes), len(large.nodes)
+def test_the_lu_leaves_nothing_k_by_k_behind():
+    # Below the crossover the direct solve is the LU on a dense T^t; neither
+    # that T^t nor LAPACK's copy of it outlives the solve.
+    t = to_transition(build_digraph(generate_random_game(Sport.HOCKEY, 60, 50, 3)))
+    k = len(t.nodes)
+    assert k ** 3 <= ranking.HUB_CROSSOVER * len(t.src)
+    assert _with_lu(t)[1]  # the LU, which warms the lazy imports and the caches
 
     def solve():
-        stationary_power(small)  # the dense step makes the buffer
-        buf = ranking._workspace.buf
-        assert buf.dtype == np.float64 and buf.size == j * j
-        stationary_direct(small)  # and warms the lazy imports
-        assert ranking._workspace.buf is buf  # reused
-        del buf
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            stationary_direct(large)
-            grown = tracemalloc.get_traced_memory()[0] - before
+            stationary_direct(t)
+            return tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert ranking._workspace.buf.size == k * k  # grown, the small one dropped
-        stationary_direct(small)
-        assert ranking._workspace.buf.size == k * k  # never shrunk
-        return grown
-    # one k x k float64 buffer survives the solve, and nothing else does (the
-    # j x j one predates tracing, so its release is not counted)
-    assert 0 <= _fresh_thread(solve) - 8 * k * k < 4096
+    assert _fresh_thread(solve) < 8 * k * k  # one float64 k x k matrix
+
+
+def test_each_dense_transpose_is_a_new_array():
+    # two builds in one thread, of graphs of one size: the second neither
+    # overwrites the first nor shares its memory
+    t, u = to_transition(build_digraph(build_demo_log())), _digraph(np.ones((7, 7)))
+    first = t._dense_transpose()
+    kept = first.copy()
+    second = u._dense_transpose()
+    assert not np.shares_memory(first, second)
+    second[:] = -1.0
+    assert np.array_equal(first, kept)
 
 
 def test_threads_solving_at_once_get_the_sequential_results():
@@ -867,7 +919,7 @@ def test_threads_solving_at_once_get_the_sequential_results():
 
 def test_threads_analysing_games_at_once_get_the_sequential_reports():
     # a 351-node game whose power steps and hub solve run on the arcs and a
-    # 25-node one whose power steps and LU run on the T^t buffer
+    # 25-node one whose power steps and LU run on a dense T^t
     logs = [generate_random_game(Sport.BASKETBALL, n, m, seed)
             for n, m, seed in ((350, 2_000, 1), (24, 2_500, 2))]
     graphs = [build_digraph(log) for log in logs]
@@ -928,13 +980,13 @@ def test_near_periodic_game_is_solved_directly():
        for solver in ("power", "direct", "both")])
 def test_analysis_holds_no_dense_matrix(solver, game, bytes_per_entry):
     # At k = 351 nodes one k x k float64 matrix is 8 k^2 bytes (986 kB).  The
-    # traced analysis runs in a new thread, so an LU there would build its
-    # T^t buffer inside the trace (LAPACK's copy of it is not traced); the
-    # analysis keeps the arc columns, which grow with the events, not with
-    # k^2.  All these games have k^2 > arcs, so power steps on the arcs and
-    # the direct solve goes through the goal hub, and neither builds anything
-    # k x k: at the player cap the peak stays below k^2 bytes, so not even a
-    # boolean pattern fits.
+    # traced analysis runs in a new thread, and an LU there would build its
+    # T^t inside the trace (LAPACK's copy of it is not traced); the analysis
+    # keeps the arc columns, which grow with the events, not with k^2.  All
+    # these games have k^2 > arcs, so power steps on the arcs and the direct
+    # solve goes through the goal hub, and neither builds anything k x k: at
+    # the player cap the peak stays below k^2 bytes, so not even a boolean
+    # pattern fits.
     log = generate_random_game(*game)
     k = log.n_players + 1
     analyze_game(log, solver)  # warm caches and lazy imports

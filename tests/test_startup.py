@@ -17,10 +17,13 @@ from conftest import REPO_ROOT
 COLD_MODULES = ("numpy.ma", "numpy.random", "scipy", "orjson", "csv", "fractions", "decimal")
 
 # Each game ranked by power alone and by both solvers; after the first,
-# whether this thread holds no T^t buffer (its direct solve took the hub).
+# whether it built no dense T^t (its direct solve took the hub).
 FIRST_GAMES = """
 import sys
 import playrank
+PlayDigraph, built = playrank.ranking.PlayDigraph, []
+dense_transpose = PlayDigraph._dense_transpose
+PlayDigraph._dense_transpose = lambda self: built.append(self) or dense_transpose(self)
 for path in sys.argv[1:]:
     with open(path, encoding="utf-8") as fh:
         log = playrank.parse_game_text(fh.read())
@@ -30,7 +33,7 @@ for path in sys.argv[1:]:
             playrank.render_report(analysis.report, analysis.teams, fmt,
                                    solver_gap=analysis.solver_gap)
     if path == sys.argv[1]:
-        print(getattr(playrank.ranking._workspace, "buf", None) is None)
+        print(not built)
 print(" ".join(sorted(sys.modules)))
 """
 
@@ -87,8 +90,8 @@ def test_first_games_stay_off_cold_imports(demo_playscript_path, demo_json_path,
     wide.write_text(playrank.render_gamelog(
         playrank.generate_random_game(playrank.Sport.BASKETBALL, 350, 2_000, 1)),
         encoding="utf-8")
-    no_buffer, modules = _run(FIRST_GAMES, wide, demo_playscript_path, demo_json_path)[-2:]
-    assert no_buffer == "True"
+    no_dense, modules = _run(FIRST_GAMES, wide, demo_playscript_path, demo_json_path)[-2:]
+    assert no_dense == "True"
     loaded = modules.split()
     assert "playrank.pipeline" in loaded
     cold = tuple(m + "." for m in COLD_MODULES)
